@@ -548,8 +548,8 @@ func (s *Space) Write(addr uint32, buf []byte) (int, error) {
 		if room := len(f.Data) - int(off); n > room {
 			n = room
 		}
-		f.NoteStoreRange(off, uint32(n))
 		copy(f.Data[off:], buf[done:done+n])
+		f.NoteStoreRange(off, uint32(n))
 		done += n
 	}
 	return done, nil
@@ -607,8 +607,8 @@ func (s *Space) StoreByte(addr uint32, val byte) error {
 	if flt != nil {
 		return flt
 	}
-	f.NoteStoreRange(off, 1)
 	f.Data[off] = val
+	f.NoteStoreRange(off, 1)
 	return nil
 }
 

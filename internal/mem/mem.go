@@ -43,15 +43,27 @@ type Frame struct {
 	refs atomic.Int64
 	ver  atomic.Uint64
 
-	// Dirty-byte watermark, maintained only while tracked is set (netshm
-	// tracks the frames of segments it homes). dirty packs the byte range
-	// touched since the watermark was last taken: lo<<32 | end (end
-	// exclusive); 0 means clean. Writers merge their range with a CAS
+	// flags holds flagObserved and flagTracked. Writers load it once after
+	// their bytes land and do nothing more while it is 0, so a store to a
+	// frame nobody has asked the version of costs one store and one load.
+	flags atomic.Uint32
+
+	// Dirty-byte watermark, maintained only while flagTracked is set
+	// (netshm tracks the frames of segments it homes). dirty packs the
+	// byte range touched since the watermark was last taken: lo<<32 | end
+	// (end exclusive); 0 means clean. Writers merge their range with a CAS
 	// loop, so the watermark never under-reports — a torn or lost update
 	// is impossible, only a wider-than-necessary range.
-	tracked atomic.Bool
-	dirty   atomic.Uint64
+	dirty atomic.Uint64
 }
+
+const (
+	// flagObserved is set, never cleared, the first time anyone reads the
+	// store version; from then on every write bumps it.
+	flagObserved uint32 = 1 << iota
+	// flagTracked turns on the dirty-byte watermark.
+	flagTracked
+)
 
 // PFN returns the frame's physical frame number within its pool.
 func (f *Frame) PFN() int { return f.pfn }
@@ -65,6 +77,7 @@ type Physical struct {
 	nextPFN  int
 	allocCnt uint64
 	freeCnt  uint64
+	observed atomic.Int64 // live frames with flagObserved set
 }
 
 // NewPhysical returns a pool that will hand out at most limitFrames frames
@@ -128,6 +141,9 @@ func (f *Frame) Release() {
 		panic("mem: Release on released frame")
 	}
 	if n == 0 {
+		if f.flags.Load()&flagObserved != 0 {
+			f.pool.observed.Add(-1)
+		}
 		f.pool.mu.Lock()
 		f.pool.live--
 		f.pool.freeCnt++
@@ -138,33 +154,56 @@ func (f *Frame) Release() {
 // Refs reports the current reference count (for tests and fsck).
 func (f *Frame) Refs() int { return int(f.refs.Load()) }
 
-// NoteStore records a mutation of the frame's bytes by bumping the
-// store-version counter. Every writer — the VM's store fast path, the
-// address-space write API, the shared file system — must call it BEFORE
-// the bytes change. Two VM consumers validate against Version: the
-// predecoded instruction cache on every fetch, and the block-translation
-// engine on every block entry (including entries through chain pointers).
-// That one counter is how a store into live text — ldl patching a
-// trampoline or jump-table slot, self-modifying code, a sibling process
-// writing through a shared frame — invalidates stale predecode and stale
-// translated blocks on the very next fetch.
-func (f *Frame) NoteStore() { f.ver.Add(1) }
-
-// NoteStoreRange is NoteStore plus the dirty-byte watermark: writers that
-// know the byte range they are about to touch (the file system's WriteAt,
-// the address-space write API, the VM's word and byte stores) call this so
-// that a tracked frame records exactly which bytes changed. The
-// replication layer (netshm) turns the watermark into byte-range deltas
-// instead of shipping whole pages.
+// NoteStoreRange records that bytes [off, off+n) of the frame were just
+// written. Every writer — the VM's word and byte stores, the address-space
+// write API, the shared file system — calls it AFTER its bytes land. It
+// loads the flags word once and, when that is 0, does nothing else: a
+// store to a frame whose version nobody reads costs what a store costs.
+// Otherwise it merges the range into the dirty watermark of a tracked
+// frame (netshm turns the watermark into byte-range deltas instead of
+// shipping whole pages) and then bumps the store-version counter of an
+// observed frame.
+//
+// Store, then bump if observed. Readers of the version — the predecoded
+// instruction cache on every fetch, the block-translation engine on every
+// block entry (including entries through chain pointers), ContentVersion,
+// netshm, the image save — call Version, which sets flagObserved before
+// it loads the counter, and read the bytes after. With seq-cst atomics on
+// both sides this is a Dekker pair: the writer stores, then loads the
+// flags; the reader sets the flag, then loads the version, then the
+// bytes. Either the writer sees flagObserved and bumps after its bytes
+// have landed, so any version loaded before the bump goes stale, or the
+// reader's bytes load comes after the writer's store and sees the new
+// bytes. That is how a store into live text — ldl patching a trampoline or
+// jump-table slot, self-modifying code, a sibling process writing through
+// a shared frame — invalidates stale predecode and stale translated blocks
+// on the very next fetch. The word stores below are host atomics, so the
+// argument holds across CPUs; byte and bulk writes are plain, so it holds
+// for the writing CPU and for readers that synchronise with the writer,
+// which is the contract sub-word sharing has anyway.
+//
+// The watermark is merged before the bump so that a reader that sees the
+// new version also finds the range in the watermark.
 func (f *Frame) NoteStoreRange(off, n uint32) {
-	f.ver.Add(1)
-	f.noteRange(off, n)
+	if fl := f.flags.Load(); fl != 0 {
+		f.noteStoreSlow(fl, off, n)
+	}
 }
 
-// noteRange merges [off, off+n) into the dirty watermark of a tracked
-// frame. The untracked fast path is one atomic bool load.
+// noteStoreSlow is NoteStoreRange's out-of-line half, kept apart so the
+// flags test inlines into every writer.
+func (f *Frame) noteStoreSlow(fl, off, n uint32) {
+	if fl&flagTracked != 0 {
+		f.noteRange(off, n)
+	}
+	if fl&flagObserved != 0 {
+		f.ver.Add(1)
+	}
+}
+
+// noteRange merges [off, off+n) into the dirty watermark.
 func (f *Frame) noteRange(off, n uint32) {
-	if n == 0 || !f.tracked.Load() {
+	if n == 0 {
 		return
 	}
 	end := off + n
@@ -191,16 +230,41 @@ func (f *Frame) noteRange(off, n uint32) {
 	}
 }
 
+// setFlags sets the given flag bits, counting the frame in
+// mem.frames_observed on its transition to observed.
+func (f *Frame) setFlags(set uint32) {
+	for {
+		old := f.flags.Load()
+		if old&set == set {
+			return
+		}
+		if f.flags.CompareAndSwap(old, old|set) {
+			if set&^old&flagObserved != 0 {
+				f.pool.observed.Add(1)
+			}
+			return
+		}
+	}
+}
+
 // SetTracked switches dirty-byte watermark maintenance on or off.
 // Enabling tracking starts with a clean watermark: bytes written before
 // this call are the caller's business (netshm snapshots frame versions at
 // Serve time and falls back to whole-page shipping when the version moved
-// without a watermark).
+// without a watermark). Enabling it also marks the frame observed, since
+// that fallback compares versions.
 func (f *Frame) SetTracked(on bool) {
-	f.tracked.Store(on)
-	if !on {
-		f.dirty.Store(0)
+	if on {
+		f.setFlags(flagObserved | flagTracked)
+		return
 	}
+	for {
+		old := f.flags.Load()
+		if f.flags.CompareAndSwap(old, old&^flagTracked) {
+			break
+		}
+	}
+	f.dirty.Store(0)
 }
 
 // TakeDirtyRange returns and resets the dirty watermark: the smallest
@@ -215,17 +279,35 @@ func (f *Frame) TakeDirtyRange() (lo, end uint32, ok bool) {
 	return uint32(v >> 32), uint32(v), true
 }
 
-// Version returns the frame's store-version counter.
-func (f *Frame) Version() uint64 { return f.ver.Load() }
+// Version returns the frame's store-version counter. The first call marks
+// the frame observed, so that from then on every write bumps the counter;
+// until then writes leave it alone. Call it BEFORE reading the bytes the
+// version is to vouch for (see NoteStoreRange).
+func (f *Frame) Version() uint64 {
+	if f.flags.Load()&flagObserved == 0 {
+		f.setFlags(flagObserved)
+	}
+	return f.ver.Load()
+}
+
+// SeenVersion returns the store-version counter without marking the frame
+// observed. Only a caller that has already called Version on this frame
+// may use it (the block engine's entry checks, on frames it built blocks
+// from): until then writers do not bump the counter.
+func (f *Frame) SeenVersion() uint64 { return f.ver.Load() }
 
 // RestoreVersion sets the store-version counter to a value recorded by an
-// earlier run. Only boot-time loaders (shmfs image restore) may call it,
-// and only on frames no CPU has cached translations against: file
-// fingerprints (shmfs.ContentVersion) are built from these counters, so a
-// reboot must bring them back or every fingerprint recorded before the
-// reboot — the link cache's invalidation manifest among them — would look
-// stale.
-func (f *Frame) RestoreVersion(v uint64) { f.ver.Store(v) }
+// earlier run and marks the frame observed. Only boot-time loaders (shmfs
+// image restore) may call it, and only on frames no CPU has cached
+// translations against: file fingerprints (shmfs.ContentVersion) are built
+// from these counters, so a reboot must bring them back — and keep them
+// moving on every later write — or a fingerprint recorded before the
+// reboot (the link cache's invalidation manifest among them) would still
+// match after the file changed.
+func (f *Frame) RestoreVersion(v uint64) {
+	f.ver.Store(v)
+	f.setFlags(flagObserved)
+}
 
 // Stats describes pool usage.
 type Stats struct {
@@ -244,9 +326,12 @@ func (p *Physical) Stats() Stats {
 
 // RegisterObsv publishes the pool's usage as gauges in the registry,
 // sampled live at snapshot time so the snapshot and Stats() always agree:
-// mem.frames_live, mem.frames_limit, mem.frame_allocs, mem.frame_frees.
+// mem.frames_live, mem.frames_limit, mem.frame_allocs, mem.frame_frees,
+// and mem.frames_observed — the live frames whose store version has been
+// read, the only ones whose writes pay a version bump.
 func (p *Physical) RegisterObsv(r *obsv.Registry) {
 	r.GaugeFunc("mem.frames_live", func() int64 { return int64(p.Stats().Live) })
+	r.GaugeFunc("mem.frames_observed", p.observed.Load)
 	r.GaugeFunc("mem.frames_limit", func() int64 { return int64(p.Stats().Limit) })
 	r.GaugeFunc("mem.frame_allocs", func() int64 { return int64(p.Stats().Allocs) })
 	r.GaugeFunc("mem.frame_frees", func() int64 { return int64(p.Stats().Frees) })
@@ -305,12 +390,10 @@ func (f *Frame) LoadWordBE(off uint32) uint32 {
 }
 
 // StoreWordBE atomically stores the guest word at the aligned frame offset,
-// bumping the store-version counter first (writers bump BEFORE the bytes
-// change; see NoteStore).
+// then notes the store (see NoteStoreRange).
 func (f *Frame) StoreWordBE(off, v uint32) {
-	f.ver.Add(1)
-	f.noteRange(off&(PageSize-1)&^3, 4)
 	atomic.StoreUint32(f.wordPtr(off), beWord(v))
+	f.NoteStoreRange(off&(PageSize-1)&^3, 4)
 }
 
 // SwapWordBE atomically exchanges the guest word at the aligned frame
@@ -318,32 +401,33 @@ func (f *Frame) StoreWordBE(off, v uint32) {
 // the host atomic supplies both the atomicity and the acquire/release
 // ordering guest spin locks need.
 func (f *Frame) SwapWordBE(off, v uint32) uint32 {
-	f.ver.Add(1)
-	f.noteRange(off&(PageSize-1)&^3, 4)
-	return beWord(atomic.SwapUint32(f.wordPtr(off), beWord(v)))
+	prev := atomic.SwapUint32(f.wordPtr(off), beWord(v))
+	f.NoteStoreRange(off&(PageSize-1)&^3, 4)
+	return beWord(prev)
 }
 
 // CompareAndSwapWordBE atomically replaces old with new at the aligned
-// frame offset, reporting whether the swap happened. The store-version
-// counter bumps even on failure — a spurious invalidation is harmless, a
-// missed one is not.
+// frame offset, reporting whether the swap happened. A failed swap wrote
+// nothing, so only a successful one is noted.
 func (f *Frame) CompareAndSwapWordBE(off, old, new uint32) bool {
-	f.ver.Add(1)
-	f.noteRange(off&(PageSize-1)&^3, 4)
-	return atomic.CompareAndSwapUint32(f.wordPtr(off), beWord(old), beWord(new))
+	if !atomic.CompareAndSwapUint32(f.wordPtr(off), beWord(old), beWord(new)) {
+		return false
+	}
+	f.NoteStoreRange(off&(PageSize-1)&^3, 4)
+	return true
 }
 
 // AddWordBE atomically adds delta to the guest word at the aligned frame
 // offset and returns the new value. The add happens in guest byte order, so
-// it is a CAS loop rather than a host atomic add.
+// it is a CAS loop rather than a host atomic add; the store is noted once,
+// after the CAS that landed it.
 func (f *Frame) AddWordBE(off, delta uint32) uint32 {
 	p := f.wordPtr(off)
-	f.noteRange(off&(PageSize-1)&^3, 4)
 	for {
 		o := atomic.LoadUint32(p)
 		n := beWord(o) + delta
-		f.ver.Add(1)
 		if atomic.CompareAndSwapUint32(p, o, beWord(n)) {
+			f.NoteStoreRange(off&(PageSize-1)&^3, 4)
 			return n
 		}
 	}

@@ -2,8 +2,11 @@ package mem
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"hemlock/internal/obsv"
 )
 
 func TestAllocZeroed(t *testing.T) {
@@ -226,6 +229,154 @@ func TestDirtyWatermarkNeverUnderReports(t *testing.T) {
 	if !ok || lo > wantLo || end < wantEnd {
 		t.Fatalf("watermark [%d,%d) ok=%v under-reports [%d,%d)", lo, end, ok, wantLo, wantEnd)
 	}
+}
+
+func TestStoreToUnobservedFrameLeavesVersion(t *testing.T) {
+	p := NewPhysical(0)
+	f, _ := p.Alloc()
+	f.StoreWordBE(0, 1)
+	f.SwapWordBE(4, 2)
+	f.CompareAndSwapWordBE(8, 0, 3)
+	f.AddWordBE(12, 4)
+	f.Data[16] = 5
+	f.NoteStoreRange(16, 1)
+	if v := f.ver.Load(); v != 0 {
+		t.Fatalf("stores to a never-read frame bumped the version to %d", v)
+	}
+	if fl := f.flags.Load(); fl != 0 {
+		t.Fatalf("stores set flags %#x", fl)
+	}
+}
+
+func TestStoreToObservedFrameBumpsVersion(t *testing.T) {
+	p := NewPhysical(0)
+	f, _ := p.Alloc()
+	f.Version()
+	stores := []struct {
+		name  string
+		store func()
+	}{
+		{"word", func() { f.StoreWordBE(0, 1) }},
+		{"byte", func() { f.Data[5] = 1; f.NoteStoreRange(5, 1) }},
+		{"swap", func() { f.SwapWordBE(8, 1) }},
+		{"cas", func() { f.CompareAndSwapWordBE(12, 0, 1) }},
+		{"add", func() { f.AddWordBE(16, 1) }},
+	}
+	for _, s := range stores {
+		v := f.Version()
+		s.store()
+		if got := f.Version(); got != v+1 {
+			t.Errorf("%s store: version %d -> %d, want one bump", s.name, v, got)
+		}
+	}
+	// A failed CAS writes nothing and notes nothing.
+	v := f.Version()
+	if f.CompareAndSwapWordBE(12, 0, 2) {
+		t.Fatal("CAS against a stale old value succeeded")
+	}
+	if got := f.Version(); got != v {
+		t.Errorf("failed cas: version %d -> %d, want unchanged", v, got)
+	}
+}
+
+// Contending adders retry their CAS, but each add that lands bumps the
+// version exactly once.
+func TestContendedAddBumpsOncePerAdd(t *testing.T) {
+	p := NewPhysical(0)
+	f, _ := p.Alloc()
+	v0 := f.Version()
+	const workers, adds = 4, 2000
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < adds; j++ {
+				f.AddWordBE(0, 1)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := f.LoadWordBE(0); got != workers*adds {
+		t.Fatalf("word = %d, want %d", got, workers*adds)
+	}
+	if got := f.Version() - v0; got != workers*adds {
+		t.Fatalf("version moved %d, want %d (one per add)", got, workers*adds)
+	}
+}
+
+func TestObservedFramesGauge(t *testing.T) {
+	p := NewPhysical(0)
+	r := obsv.NewRegistry()
+	p.RegisterObsv(r)
+	gauge := func() int64 { return r.Snapshot().Gauges["mem.frames_observed"] }
+	f, _ := p.Alloc()
+	g, _ := p.Alloc()
+	h, _ := p.Alloc()
+	f.StoreWordBE(0, 1)
+	if n := gauge(); n != 0 {
+		t.Fatalf("frames_observed = %d before any version read, want 0", n)
+	}
+	f.Version()
+	f.Version()
+	g.RestoreVersion(7)
+	h.SetTracked(true) // tracking implies observed
+	if h.flags.Load()&flagObserved == 0 {
+		t.Fatal("SetTracked(true) did not mark the frame observed")
+	}
+	h.SetTracked(false)
+	if h.flags.Load() != flagObserved {
+		t.Fatalf("SetTracked(false) left flags %#x, want only observed", h.flags.Load())
+	}
+	if n := gauge(); n != 3 {
+		t.Fatalf("frames_observed = %d, want 3", n)
+	}
+	f.Release()
+	if n := gauge(); n != 2 {
+		t.Fatalf("frames_observed = %d after releasing one, want 2", n)
+	}
+}
+
+var benchSink uint32
+
+// BenchmarkStoreWordBEUnobserved is the guest sw to a frame whose version
+// nobody reads: one host atomic store plus one flags load.
+func BenchmarkStoreWordBEUnobserved(b *testing.B) {
+	f, _ := NewPhysical(0).Alloc()
+	for i := 0; i < b.N; i++ {
+		f.StoreWordBE(uint32(i&63)*4, uint32(i))
+	}
+	benchSink = f.LoadWordBE(0)
+}
+
+// BenchmarkStoreWordBEObserved is the same store to a frame the icache or
+// block engine has read the version of, so every store bumps it.
+func BenchmarkStoreWordBEObserved(b *testing.B) {
+	f, _ := NewPhysical(0).Alloc()
+	f.Version()
+	for i := 0; i < b.N; i++ {
+		f.StoreWordBE(uint32(i&63)*4, uint32(i))
+	}
+	benchSink = f.LoadWordBE(0)
+}
+
+// BenchmarkStoreWordBESamePage2CPU runs two goroutines storing to
+// different cache lines of one unobserved frame: the per-store cost when
+// CPUs share a page but not a word.
+func BenchmarkStoreWordBESamePage2CPU(b *testing.B) {
+	f, _ := NewPhysical(0).Alloc()
+	var wg sync.WaitGroup
+	for w := uint32(0); w < 2; w++ {
+		wg.Add(1)
+		go func(base uint32) {
+			defer wg.Done()
+			for i := 0; i < b.N; i++ {
+				f.StoreWordBE(base+uint32(i&15)*4, uint32(i))
+			}
+		}(w * 2048)
+	}
+	wg.Wait()
+	benchSink = f.LoadWordBE(0)
 }
 
 func TestConcurrentAlloc(t *testing.T) {

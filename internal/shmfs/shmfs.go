@@ -790,15 +790,15 @@ func (fs *FS) writeAtInode(nd *inode, off uint32, buf []byte) (int, error) {
 		pos := off + uint32(done)
 		fi := int(pos / mem.PageSize)
 		fo := pos % mem.PageSize
-		// Writes may land in frames mapped executable elsewhere (ldl's
-		// filePatcher patches shared text this way); the version bump is
-		// what invalidates any predecoded instructions.
+		// Writes may land in frames mapped executable elsewhere; noting
+		// the store after the copy is what invalidates any predecoded
+		// instructions.
 		n := len(buf) - done
 		if room := int(mem.PageSize - fo); n > room {
 			n = room
 		}
-		nd.frames[fi].NoteStoreRange(fo, uint32(n))
 		copy(nd.frames[fi].Data[fo:], buf[done:done+n])
+		nd.frames[fi].NoteStoreRange(fo, uint32(n))
 		done += n
 	}
 	if end > nd.size {
@@ -898,6 +898,11 @@ func (fs *FS) Truncate(p string, size uint32, uid int) error {
 		return err
 	}
 	if size < nd.size {
+		for pos := size; pos < nd.size; pos++ {
+			fi := int(pos / mem.PageSize)
+			fo := pos % mem.PageSize
+			nd.frames[fi].Data[fo] = 0
+		}
 		for fi := int(size / mem.PageSize); fi <= int((nd.size-1)/mem.PageSize); fi++ {
 			lo := uint32(0)
 			if int(size/mem.PageSize) == fi {
@@ -908,11 +913,6 @@ func (fs *FS) Truncate(p string, size uint32, uid int) error {
 				hi = (nd.size-1)%mem.PageSize + 1
 			}
 			nd.frames[fi].NoteStoreRange(lo, hi-lo)
-		}
-		for pos := size; pos < nd.size; pos++ {
-			fi := int(pos / mem.PageSize)
-			fo := pos % mem.PageSize
-			nd.frames[fi].Data[fo] = 0
 		}
 	}
 	nd.size = size
@@ -1242,7 +1242,7 @@ func (fs *FS) WalkFiles(fn func(path string, st Stat) error) error {
 // the file at p, growing the file if needed. The dynamic linker patches
 // PLT slots and text words in shared segments through this while sibling
 // guest CPUs may be executing out of the very frame being written: the
-// host-atomic frame store (with its version bump first) guarantees a
+// host-atomic frame store (with its version bump after) guarantees a
 // concurrently fetching CPU decodes the old word or the new word — never a
 // torn mix — and re-validates on its next fetch.
 func (fs *FS) StoreWordAt(p string, off, val uint32, uid int) error {

@@ -484,6 +484,39 @@ func TestContentVersionSurvivesSaveLoad(t *testing.T) {
 	}
 }
 
+// A store through a mapping on the rebooted machine must move the
+// fingerprint even though nothing has read a frame version since the load:
+// a restored version counts as observed, so the store bumps it. Without
+// that, a link-cache manifest recorded before the reboot would still match.
+func TestContentVersionMovesOnMappedStoreAfterLoad(t *testing.T) {
+	fs := newFS(t)
+	fs.WriteFile("/mod.o", bytes.Repeat([]byte{0x11}, 5000), DefaultFileMode, 0)
+	before, err := fs.ContentVersion("/mod.o")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := fs.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fs2, err := Load(&buf, mem.NewPhysical(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, _, err := fs2.Frames("/mod.o", 0, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames[1].StoreWordBE(16, 0xdeadbeef) // the way a guest sw lands
+	after, err := fs2.ContentVersion("/mod.o")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after == before {
+		t.Fatal("fingerprint blind to a mapped store after save/load")
+	}
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("NOTANIMAGE")), mem.NewPhysical(0)); err == nil {
 		t.Fatal("garbage image accepted")

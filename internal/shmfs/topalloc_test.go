@@ -112,8 +112,8 @@ func TestContentVersionTracksMappedStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames[0].NoteStore()
 	frames[0].Data[0] = 'X'
+	frames[0].NoteStoreRange(0, 1)
 	v3, _ := fs.ContentVersion("/m")
 	if v3 == v1 {
 		t.Fatal("fingerprint blind to a store through the mapping")

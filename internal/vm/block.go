@@ -17,8 +17,9 @@ package vm
 //   - gen: the address-space mapping generation at build time
 //     (addrspace.Space.Gen — any map/unmap/protect moves it);
 //   - fver: the backing frame's store version at build time
-//     (mem.Frame.Version — EVERY writer bumps it before the bytes
-//     change: vm stores, addrspace host writes, shmfs, netshm).
+//     (mem.Frame.Version — reading it marks the frame observed, and
+//     EVERY writer bumps an observed frame's version after its bytes
+//     land: vm stores, addrspace host writes, shmfs, netshm).
 //
 // The checks run on every block entry, including entries through chain
 // pointers, so a chained successor whose text was patched — an ldl PLT
@@ -165,7 +166,7 @@ type block struct {
 // valid reports whether the block's translation and predecode are still
 // current. Two atomic loads; runs on every block entry.
 func (b *block) valid(gen uint64) bool {
-	return b.gen == gen && b.fver == b.frame.Version()
+	return b.gen == gen && b.fver == b.frame.SeenVersion()
 }
 
 // bcPool recycles block-cache arrays across CPUs: a short-lived process (a
@@ -247,9 +248,10 @@ func (c *CPU) buildBlock(pc uint32) (*block, error) {
 	}
 	c.stats.TLBMisses++ // one per block build, not per instruction
 	b := &block{pc: pc, gen: ent.Gen, frame: ent.Frame}
-	// Read the frame version BEFORE any instruction bytes: a store racing
-	// past this point leaves the predecode at least as old as fver, so the
-	// entry check refuses the block and rebuilds.
+	// Read the frame version BEFORE any instruction bytes. Writers store,
+	// then bump the (now observed) frame's version, so a store the decode
+	// below misses bumps it after this read and the entry check refuses
+	// the block and rebuilds (mem.Frame.NoteStoreRange has the argument).
 	b.fver = ent.Frame.Version()
 
 	base := pc &^ uint32(mem.PageSize-1)
@@ -524,7 +526,7 @@ outer:
 					}
 					bset(regs, op.rs, op.aux)
 					c.stats.FusedOps++
-					if b.fver != b.frame.Version() {
+					if b.fver != b.frame.SeenVersion() {
 						c.PC = op.pc + 8
 						continue outer // stored into own page: predecode ahead is stale
 					}
@@ -554,7 +556,7 @@ outer:
 						c.Steps += retired
 						return c.blockTrap(op.pc, 1, err)
 					}
-					if b.fver != b.frame.Version() {
+					if b.fver != b.frame.SeenVersion() {
 						c.PC = op.pc + 4
 						continue outer
 					}
@@ -563,7 +565,7 @@ outer:
 						c.Steps += retired
 						return c.blockTrap(op.pc, 1, err)
 					}
-					if b.fver != b.frame.Version() {
+					if b.fver != b.frame.SeenVersion() {
 						c.PC = op.pc + 4
 						continue outer
 					}

@@ -311,12 +311,13 @@ func (c *CPU) storeWord(addr, val uint32) error {
 	if flt != nil {
 		return flt
 	}
-	// Self-modifying-code protocol: StoreWordBE bumps the frame version
-	// before the bytes change, so any icache entry predecoded from this
-	// frame — ours or a sibling CPU's — fails its version check on next
-	// fetch. The store itself is host-atomic: a sibling CPU concurrently
-	// loading or fetching this word sees the old word or the new one,
-	// never a torn mix.
+	// Self-modifying-code protocol: StoreWordBE stores, then bumps the
+	// frame version if anyone has read it (an icache fill or a block
+	// build marks the frame observed), so any icache entry predecoded from
+	// this frame — ours or a sibling CPU's — fails its version check on
+	// next fetch. The store itself is host-atomic: a sibling CPU
+	// concurrently loading or fetching this word sees the old word or the
+	// new one, never a torn mix.
 	e.frame.StoreWordBE(addr&(mem.PageSize-1), val)
 	return nil
 }
@@ -329,8 +330,8 @@ func (c *CPU) storeByte(addr uint32, val byte) error {
 	if flt != nil {
 		return flt
 	}
-	e.frame.NoteStoreRange(addr&(mem.PageSize-1), 1)
 	e.frame.Data[addr&(mem.PageSize-1)] = val
+	e.frame.NoteStoreRange(addr&(mem.PageSize-1), 1)
 	return nil
 }
 
@@ -367,9 +368,10 @@ func (c *CPU) fetch(pc uint32) (*pinst, error) {
 		pg = new(icPage)
 		c.ic[vp&(icSize-1)] = pg
 	}
-	// Read the frame version BEFORE any instruction bytes: a store racing
-	// past this point leaves us with predecode at least as old as fver, so
-	// the next fetch's version check refills.
+	// Read the frame version BEFORE any instruction bytes. Version marks
+	// the frame observed first, and writers store, then bump an observed
+	// frame's version: a store this predecode misses bumps the version
+	// after fver was read, so the next fetch's version check refills.
 	fv := e.frame.Version()
 	if !pg.valid || pg.vpn != vp || pg.frame != e.frame || pg.fver != fv {
 		if pg.valid && pg.vpn == vp && pg.frame == e.frame {

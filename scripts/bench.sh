@@ -1,6 +1,7 @@
 #!/bin/sh
-# bench.sh — run the interpreter dispatch microbenchmark plus the paper
-# benchmarks (Table 1, call cost, pointer chase) and write BENCH_<n>.json.
+# bench.sh — run the interpreter dispatch and guest-store microbenchmarks
+# plus the paper benchmarks (Table 1, call cost, pointer chase) and write
+# BENCH_<n>.json.
 #
 # Usage:
 #   scripts/bench.sh <n> [benchtime]
@@ -24,11 +25,13 @@ cd "$(dirname "$0")/.."
 raw=BENCH_"$n".txt
 out=BENCH_"$n".json
 
-# Dispatch microbenchmark (internal/vm) and the paper's macro benchmarks
-# (repo root). -count=3 gives benchstat enough samples for a variance
-# estimate without making CI runs painful.
+# Dispatch microbenchmark (internal/vm), the per-store cost of a guest sw
+# on an unobserved, an observed and a two-CPU shared frame (internal/mem),
+# and the paper's macro benchmarks (repo root). -count=3 gives benchstat
+# enough samples for a variance estimate without making CI runs painful.
 {
   go test -run=NONE -bench='BenchmarkDispatch' -benchtime="$benchtime" -count=3 ./internal/vm/
+  go test -run=NONE -bench='BenchmarkStoreWordBE' -benchtime="$benchtime" -count=3 ./internal/mem/
   go test -run=NONE -bench='Table1|CallNear|CallFar|PointerChase|LaunchWarm|PrestoParallel|NetShmScale|NetShmDeltaBytes' -benchtime="$benchtime" -count=3 .
 } | tee "$raw"
 
