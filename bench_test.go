@@ -15,7 +15,7 @@ package hemlock_test
 //	E-lazy     BenchmarkLinking*            lazy vs eager over a module graph
 //	E-ptr      BenchmarkPointerChase*       mapped vs fault-mapped traversal
 //	E-tramp    BenchmarkCall*               near call vs trampolined far call
-//	E-fs       BenchmarkShmfs*              linear vs indexed addr lookup, boot scan
+//	E-fs       BenchmarkShmfs*              linear vs indexed addr lookup, boot scan, unlink
 //	E-alloc    BenchmarkSegmentAlloc        per-segment heap allocator
 //	E-msg      BenchmarkIPC*                shared-memory vs message-passing handoff
 
@@ -1082,15 +1082,16 @@ func BenchmarkStartupEagerCalls(b *testing.B) { benchStartup(b, false) }
 // launch resolves none of them.
 func BenchmarkStartupJumpTables(b *testing.B) { benchStartup(b, true) }
 
-// ---- E-fs: address lookup and boot scan ----------------------------------------------
+// ---- E-fs: address lookup, boot scan and unlink ------------------------------------------
 
-func fullFS(b *testing.B) *shmfs.FS {
+// fullFS returns a file system holding n files /lib/f0000.. under /lib.
+func fullFS(b *testing.B, n int) *shmfs.FS {
 	fs, err := shmfs.New(mem.NewPhysical(0))
 	if err != nil {
 		b.Fatal(err)
 	}
 	fs.MkdirAll("/lib", shmfs.DefaultDirMode, 0)
-	for i := 0; i < shmfs.NumInodes-2; i++ {
+	for i := 0; i < n; i++ {
 		if _, err := fs.Create(fmt.Sprintf("/lib/f%04d", i), shmfs.DefaultFileMode, 0); err != nil {
 			b.Fatal(err)
 		}
@@ -1117,7 +1118,7 @@ func BenchmarkShmfsAddrToPathBTree(b *testing.B) {
 }
 
 func benchLookup(b *testing.B, mode shmfs.LookupMode) {
-	fs := fullFS(b)
+	fs := fullFS(b, shmfs.NumInodes-2)
 	fs.Lookup = mode
 	addr := shmfs.AddrOf(shmfs.NumInodes-2) + 64
 	b.ResetTimer()
@@ -1131,12 +1132,30 @@ func benchLookup(b *testing.B, mode shmfs.LookupMode) {
 // BenchmarkShmfsBootScan: rebuilding the table by scanning the entire file
 // system, as the kernel does at boot.
 func BenchmarkShmfsBootScan(b *testing.B) {
-	fs := fullFS(b)
+	fs := fullFS(b, shmfs.NumInodes-2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fs.ClearTable()
 		if n := fs.BootScan(); n != shmfs.NumInodes-2 {
 			b.Fatalf("scan found %d", n)
+		}
+	}
+}
+
+// BenchmarkShmfsUnlink: unlinking a mid-range file and creating it again
+// (it reuses the freed slot) with 1020 live files, so every iteration
+// removes one entry from the middle of the linear table, the slot index
+// and the B-tree, and inserts it back.
+func BenchmarkShmfsUnlink(b *testing.B) {
+	fs := fullFS(b, 1020)
+	const p = "/lib/f0510"
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := fs.Unlink(p, 0); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := fs.Create(p, shmfs.DefaultFileMode, 0); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

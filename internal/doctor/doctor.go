@@ -125,7 +125,19 @@ func CheckSystem(sys *core.System, opt Options) []Finding {
 	out = append(out, checkInodes(sys.FS, opt)...)
 	out = append(out, checkFiles(sys.FS, opt)...)
 	out = append(out, checkLinkCache(sys.FS)...)
+	out = append(out, checkAddrIndex(sys.FS)...)
 	return out
+}
+
+// checkAddrIndex cross-checks the file system's address-to-file indexes
+// (linear table, slot index, B-tree) against each other and the live file
+// inodes. A disagreement is Critical: AddrToPath, and everything that
+// names a segment from an address, can then answer wrong or not at all.
+func checkAddrIndex(fs *shmfs.FS) []Finding {
+	if err := fs.CheckIndex(); err != nil {
+		return []Finding{{Check: "addr-index", Severity: Critical, Subject: "/", Detail: err.Error()}}
+	}
+	return nil
 }
 
 // checkLinkCache diagnoses the persistent link cache (ldl.CacheDir): an

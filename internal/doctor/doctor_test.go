@@ -531,3 +531,36 @@ func TestLinkCacheCorruptHeader(t *testing.T) {
 		t.Fatalf("after header corruption: %v", fs)
 	}
 }
+
+// TestChurnedIndexIsClean churns a world's shared fs — module creation,
+// link-cache entries drawn from the top of the slot space, and unlinks of
+// both — and expects no addr-index finding: every unlink leaves the
+// linear table, slot index and B-tree in agreement.
+func TestChurnedIndexIsClean(t *testing.T) {
+	sys, cachePath := linkCachedSystem(t)
+	if err := sys.FS.MkdirAll("/spool", shmfs.DefaultDirMode, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		if _, err := sys.FS.Create(fmt.Sprintf("/spool/f%03d", i), shmfs.DefaultFileMode, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.FS.CreateTop(fmt.Sprintf("%s/x%03d", ldl.CacheDir, i), shmfs.DefaultFileMode, 0); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 0 {
+			if err := sys.FS.Unlink(fmt.Sprintf("/spool/f%03d", i/2), 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.FS.Unlink(fmt.Sprintf("%s/x%03d", ldl.CacheDir, i/3), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := sys.FS.Unlink(cachePath, 0); err != nil {
+		t.Fatal(err)
+	}
+	if fs := findingsOf(CheckSystem(sys, Options{}), "addr-index"); len(fs) != 0 {
+		t.Fatalf("churned world has addr-index findings:\n%s", Render(fs))
+	}
+}

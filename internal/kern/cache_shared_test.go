@@ -169,8 +169,9 @@ func TestSharedPageStoreInvalidatesSiblingBlocks(t *testing.T) {
 // tests above: the writer and the runner execute at the same time on two
 // scheduler CPUs. The runner spins hot in chained blocks over a shared
 // text page; the writer's store instruction patches the loop into a jump
-// to a HALT. If the cross-CPU invalidation protocol (atomic store-version
-// bump before an atomic word store) ever let the runner keep executing its
+// to a HALT. If the cross-CPU invalidation protocol (store, then bump if
+// observed: an atomic word store followed by a store-version bump on a
+// frame whose version was read) ever let the runner keep executing its
 // stale translation, it would spin its entire budget and fail the run.
 func TestConcurrentSMCPatchObservedBySibling(t *testing.T) {
 	k := New()

@@ -13,10 +13,21 @@ package shmfs
 // direct slot index, B-tree) over identical state. On a 32-bit prototype
 // the direct index is trivially available; the B-tree is what scales to a
 // 64-bit address space where slots are not dense.
+//
+// Insert, Delete and LookupCovering are each one root-to-leaf pass, so
+// O(log n). Every node but the root holds between btreeOrder/2-1 and
+// btreeOrder-1 keys: a split leaves each half at the minimum, and Delete
+// tops a child up (borrowing from a sibling, or merging with one) before
+// descending into it. File creation and unlink are both frequent — every
+// module publish and link-cache invalidation unlinks — so neither may cost
+// a pass over the whole tree.
 
 import "fmt"
 
-const btreeOrder = 8 // max children per node; max keys = btreeOrder-1
+const (
+	btreeOrder = 8                // max children per node; max keys = btreeOrder-1
+	minKeys    = btreeOrder/2 - 1 // min keys in a non-root node, as splitChild leaves it
+)
 
 type btreeEntry struct {
 	base uint32
@@ -94,8 +105,10 @@ func (n *btreeNode) splitChild(i int) {
 	right := &btreeNode{entries: append([]btreeEntry(nil), child.entries[mid+1:]...)}
 	if !child.leaf() {
 		right.children = append([]*btreeNode(nil), child.children[mid+1:]...)
+		clear(child.children[mid+1:])
 		child.children = child.children[:mid+1]
 	}
+	clear(child.entries[mid:])
 	child.entries = child.entries[:mid]
 	n.entries = append(n.entries, btreeEntry{})
 	copy(n.entries[i+1:], n.entries[i:])
@@ -153,23 +166,139 @@ func (t *AddrTree) LookupCovering(addr uint32) (ino int, path string, off uint32
 	return best.ino, best.path, addr - best.base, true
 }
 
-// Delete removes the entry for base, reporting whether it existed. The
-// implementation rebuilds from an in-order walk when the simple leaf-removal
-// case does not apply; deletions are rare (file destruction) next to
-// lookups, and correctness matters more than asymptotics here.
+// Delete removes the entry for base, reporting whether it existed. It is
+// textbook B-tree deletion in one pass down: every child is topped up to
+// more than minKeys before the descent enters it, so removing a key from a
+// leaf never leaves the leaf under-full, and an inner key is replaced by
+// its in-order predecessor or successor. The root shrinks by a level when
+// a merge empties it.
 func (t *AddrTree) Delete(base uint32) bool {
 	if !t.contains(base) {
 		return false
 	}
-	entries := t.Walk()
-	nt := NewAddrTree()
-	for _, e := range entries {
-		if e.base != base {
-			nt.Insert(e.base, e.ino, e.path)
-		}
+	t.root.delete(base)
+	if len(t.root.entries) == 0 && !t.root.leaf() {
+		t.root = t.root.children[0]
 	}
-	t.root, t.count = nt.root, nt.count
+	t.count--
 	return true
+}
+
+// delete removes key, which is present in n's subtree, from it. n is the
+// root or holds more than minKeys entries.
+func (n *btreeNode) delete(key uint32) {
+	for {
+		i := n.search(key)
+		found := i < len(n.entries) && n.entries[i].base == key
+		if n.leaf() {
+			if found {
+				n.removeEntry(i)
+			}
+			return
+		}
+		if found {
+			switch {
+			case len(n.children[i].entries) > minKeys:
+				pred := n.children[i].max()
+				n.entries[i] = pred
+				n, key = n.children[i], pred.base
+			case len(n.children[i+1].entries) > minKeys:
+				succ := n.children[i+1].min()
+				n.entries[i] = succ
+				n, key = n.children[i+1], succ.base
+			default:
+				n.merge(i)
+				n = n.children[i]
+			}
+			continue
+		}
+		if len(n.children[i].entries) == minKeys {
+			i = n.fill(i)
+		}
+		n = n.children[i]
+	}
+}
+
+// fill tops child i up from minKeys entries: it borrows through n from a
+// sibling that can spare an entry, or else merges with one. It returns
+// the index of the child that now covers child i's key range.
+func (n *btreeNode) fill(i int) int {
+	switch {
+	case i > 0 && len(n.children[i-1].entries) > minKeys:
+		left, child := n.children[i-1], n.children[i]
+		child.entries = append(child.entries, btreeEntry{})
+		copy(child.entries[1:], child.entries)
+		child.entries[0] = n.entries[i-1]
+		n.entries[i-1] = left.entries[len(left.entries)-1]
+		left.removeEntry(len(left.entries) - 1)
+		if !child.leaf() {
+			child.children = append(child.children, nil)
+			copy(child.children[1:], child.children)
+			child.children[0] = left.children[len(left.children)-1]
+			left.removeChild(len(left.children) - 1)
+		}
+		return i
+	case i < len(n.children)-1 && len(n.children[i+1].entries) > minKeys:
+		child, right := n.children[i], n.children[i+1]
+		child.entries = append(child.entries, n.entries[i])
+		n.entries[i] = right.entries[0]
+		right.removeEntry(0)
+		if !child.leaf() {
+			child.children = append(child.children, right.children[0])
+			right.removeChild(0)
+		}
+		return i
+	case i < len(n.children)-1:
+		n.merge(i)
+		return i
+	default:
+		n.merge(i - 1)
+		return i - 1
+	}
+}
+
+// merge folds entry i and child i+1 into child i. Both children hold
+// minKeys entries, so the result holds btreeOrder-1.
+func (n *btreeNode) merge(i int) {
+	left, right := n.children[i], n.children[i+1]
+	left.entries = append(left.entries, n.entries[i])
+	left.entries = append(left.entries, right.entries...)
+	left.children = append(left.children, right.children...)
+	n.removeEntry(i)
+	n.removeChild(i + 1)
+}
+
+// removeEntry deletes entry i, clearing the vacated slot so the backing
+// array keeps no reference to a removed path.
+func (n *btreeNode) removeEntry(i int) {
+	last := len(n.entries) - 1
+	copy(n.entries[i:], n.entries[i+1:])
+	n.entries[last] = btreeEntry{}
+	n.entries = n.entries[:last]
+}
+
+// removeChild deletes child pointer i, clearing the vacated slot.
+func (n *btreeNode) removeChild(i int) {
+	last := len(n.children) - 1
+	copy(n.children[i:], n.children[i+1:])
+	n.children[last] = nil
+	n.children = n.children[:last]
+}
+
+// max returns the largest entry in n's subtree.
+func (n *btreeNode) max() btreeEntry {
+	for !n.leaf() {
+		n = n.children[len(n.children)-1]
+	}
+	return n.entries[len(n.entries)-1]
+}
+
+// min returns the smallest entry in n's subtree.
+func (n *btreeNode) min() btreeEntry {
+	for !n.leaf() {
+		n = n.children[0]
+	}
+	return n.entries[0]
 }
 
 func (t *AddrTree) contains(base uint32) bool {
@@ -206,12 +335,24 @@ func (t *AddrTree) Walk() []btreeEntry {
 	return out
 }
 
-// Check validates B-tree invariants: sorted keys, child key ranges, and
-// uniform leaf depth.
+// Check validates B-tree invariants: sorted keys, child key ranges,
+// uniform leaf depth, node occupancy (every non-root node holds minKeys to
+// btreeOrder-1 keys, a non-leaf root at least one), and that count
+// matches the entries present.
 func (t *AddrTree) Check() error {
 	depth := -1
+	walked := 0
 	var rec func(n *btreeNode, lo, hi uint64, d int) error
 	rec = func(n *btreeNode, lo, hi uint64, d int) error {
+		walked += len(n.entries)
+		switch {
+		case len(n.entries) > btreeOrder-1:
+			return fmt.Errorf("shmfs: btree node at depth %d holds %d keys, max %d", d, len(n.entries), btreeOrder-1)
+		case d > 0 && len(n.entries) < minKeys:
+			return fmt.Errorf("shmfs: btree node at depth %d holds %d keys, min %d", d, len(n.entries), minKeys)
+		case d == 0 && !n.leaf() && len(n.entries) == 0:
+			return fmt.Errorf("shmfs: btree inner root holds no keys")
+		}
 		for i := 0; i < len(n.entries); i++ {
 			k := uint64(n.entries[i].base)
 			if k < lo || k >= hi {
@@ -247,5 +388,11 @@ func (t *AddrTree) Check() error {
 		}
 		return nil
 	}
-	return rec(t.root, 0, 1<<33, 0)
+	if err := rec(t.root, 0, 1<<33, 0); err != nil {
+		return err
+	}
+	if walked != t.count {
+		return fmt.Errorf("shmfs: btree count %d, but %d entries present", t.count, walked)
+	}
+	return nil
 }

@@ -157,3 +157,124 @@ func TestFSBTreeStaysConsistent(t *testing.T) {
 		t.Fatalf("files = %d", count)
 	}
 }
+
+// runTreeModel applies one operation per byte pair of ops to a tree and to
+// a map model over a small key space, so every operation lands on keys the
+// tree holds often enough to drive splits, borrows, merges and root
+// shrinks. It checks the invariants after every operation and the full
+// walk order at the end.
+func runTreeModel(t *testing.T, ops []byte) {
+	t.Helper()
+	const keys = 96
+	tr := NewAddrTree()
+	model := map[int]string{}
+	for n := 0; n+1 < len(ops); n += 2 {
+		k := int(ops[n+1]) % keys
+		switch op := ops[n] % 4; op {
+		case 0, 1:
+			p := fmt.Sprintf("/f%d.%d", k, n)
+			tr.Insert(AddrOf(k), k, p)
+			model[k] = p
+		case 2:
+			_, had := model[k]
+			if got := tr.Delete(AddrOf(k)); got != had {
+				t.Fatalf("op %d: Delete(%d) = %v, model has it %v", n/2, k, got, had)
+			}
+			delete(model, k)
+		case 3:
+			off := uint32(ops[n]) * 4099 % SlotSize
+			ino, p, gotOff, ok := tr.LookupCovering(AddrOf(k) + off)
+			want, had := model[k]
+			if ok != had || (ok && (ino != k || p != want || gotOff != off)) {
+				t.Fatalf("op %d: LookupCovering(slot %d+%d) = %d %q %d %v, model %q %v", n/2, k, off, ino, p, gotOff, ok, want, had)
+			}
+		}
+		if err := tr.Check(); err != nil {
+			t.Fatalf("op %d: %v", n/2, err)
+		}
+		if tr.Len() != len(model) {
+			t.Fatalf("op %d: Len = %d, model %d", n/2, tr.Len(), len(model))
+		}
+	}
+	walk := tr.Walk()
+	if len(walk) != len(model) {
+		t.Fatalf("walk has %d entries, model %d", len(walk), len(model))
+	}
+	for i, e := range walk {
+		if i > 0 && walk[i-1].base >= e.base {
+			t.Fatalf("walk out of order at %d", i)
+		}
+		if p, ok := model[e.ino]; !ok || e.base != AddrOf(e.ino) || e.path != p {
+			t.Fatalf("walk entry %d = {0x%x %d %q}, model %q %v", i, e.base, e.ino, e.path, p, ok)
+		}
+	}
+	assertNoRetained(t, tr.root)
+}
+
+// assertNoRetained fails if any node's backing arrays hold an entry or
+// child past the slice length: a vacated slot must not keep a removed
+// path (or subtree) reachable.
+func assertNoRetained(t *testing.T, n *btreeNode) {
+	t.Helper()
+	for _, e := range n.entries[len(n.entries):cap(n.entries)] {
+		if e != (btreeEntry{}) {
+			t.Fatalf("vacated entry slot retains %+v", e)
+		}
+	}
+	for _, c := range n.children[len(n.children):cap(n.children)] {
+		if c != nil {
+			t.Fatal("vacated child slot retains a subtree")
+		}
+	}
+	for _, c := range n.children {
+		assertNoRetained(t, c)
+	}
+}
+
+// TestBTreeModel drives thousands of interleaved Insert/Delete/
+// LookupCovering calls per seed against a map model.
+func TestBTreeModel(t *testing.T) {
+	seeds := 200
+	if testing.Short() {
+		seeds = 20
+	}
+	for seed := int64(0); seed < int64(seeds); seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]byte, 2*3000)
+		rng.Read(ops)
+		// Phase the op mix so some seeds fill the key space and then
+		// drain it, emptying the tree back to a leaf root.
+		if seed%2 == 1 {
+			for i := 0; i < len(ops)/2; i += 2 {
+				ops[i] &^= 2 // inserts and lookups only
+			}
+			for i := len(ops) / 2; i < len(ops); i += 2 {
+				ops[i] |= 2 // deletes and lookups only
+			}
+		}
+		runTreeModel(t, ops)
+	}
+}
+
+func FuzzAddrTree(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 2, 2, 1, 3, 2})
+	ascending := make([]byte, 0, 4*96)
+	for k := 0; k < 96; k++ {
+		ascending = append(ascending, 0, byte(k))
+	}
+	for k := 0; k < 96; k++ {
+		ascending = append(ascending, 2, byte(k))
+	}
+	f.Add(ascending)
+	descending := make([]byte, 0, 4*96)
+	for k := 95; k >= 0; k-- {
+		descending = append(descending, 1, byte(k))
+	}
+	for k := 0; k < 96; k += 2 {
+		descending = append(descending, 2, byte(k), 3, byte(k+1))
+	}
+	f.Add(descending)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		runTreeModel(t, ops)
+	})
+}

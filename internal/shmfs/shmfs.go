@@ -983,19 +983,73 @@ func (fs *FS) tableInsert(ino int, p string) {
 	fs.tree.Insert(AddrOf(ino), ino, p)
 }
 
+// tableRemove drops ino's row by moving the last row into its place. Row
+// order carries no meaning: slots are disjoint, so a linear scan finds at
+// most one covering row wherever it sits.
 func (fs *FS) tableRemove(ino int) {
 	fs.tree.Delete(AddrOf(ino))
-	for i := range fs.table {
-		if fs.table[i].ino == ino {
-			fs.table = append(fs.table[:i], fs.table[i+1:]...)
-			fs.slotIdx[ino] = -1
-			// Reindex the tail entries that shifted down.
-			for j := i; j < len(fs.table); j++ {
-				fs.slotIdx[fs.table[j].ino] = int32(j)
+	i := fs.slotIdx[ino]
+	if i < 0 {
+		return
+	}
+	last := len(fs.table) - 1
+	fs.table[i] = fs.table[last]
+	fs.slotIdx[fs.table[i].ino] = i
+	fs.table[last] = tableEntry{}
+	fs.table = fs.table[:last]
+	fs.slotIdx[ino] = -1
+}
+
+// CheckIndex cross-checks the three address indexes against each other
+// and against the file inodes: every live file has exactly one table row,
+// at the position slotIdx records, with its slot's base address and a
+// path that resolves to it; the B-tree is valid and holds the same
+// entries. The error names the structure found at odds first ("inode",
+// "slotIdx", "table" or "tree").
+func (fs *FS) CheckIndex() error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	for ino, nd := range fs.inodes {
+		idx := fs.slotIdx[ino]
+		if idx < 0 {
+			if nd != nil && nd.typ == TypeFile {
+				return fmt.Errorf("shmfs: index: inode %d is a live file with no table row", ino)
 			}
-			return
+			continue
+		}
+		if int(idx) >= len(fs.table) || fs.table[idx].ino != ino {
+			return fmt.Errorf("shmfs: index: slotIdx[%d] = %d does not point at inode %d's table row", ino, idx, ino)
 		}
 	}
+	for i, e := range fs.table {
+		if e.ino < 0 || e.ino >= NumInodes || fs.inodes[e.ino] == nil || fs.inodes[e.ino].typ != TypeFile {
+			return fmt.Errorf("shmfs: index: table row %d names inode %d, which is not a live file", i, e.ino)
+		}
+		if j := fs.slotIdx[e.ino]; j != int32(i) {
+			return fmt.Errorf("shmfs: index: table row %d duplicates inode %d's row %d", i, e.ino, j)
+		}
+		if e.base != AddrOf(e.ino) {
+			return fmt.Errorf("shmfs: index: table row %d has base 0x%08x, inode %d's slot is 0x%08x", i, e.base, e.ino, AddrOf(e.ino))
+		}
+		if nd, err := fs.walk(e.path, false, 0); err != nil || nd.ino != e.ino {
+			return fmt.Errorf("shmfs: index: table row %d path %s does not name inode %d", i, e.path, e.ino)
+		}
+	}
+	if err := fs.tree.Check(); err != nil {
+		return fmt.Errorf("shmfs: index: tree: %w", err)
+	}
+	if fs.tree.Len() != len(fs.table) {
+		return fmt.Errorf("shmfs: index: tree holds %d entries, table %d rows", fs.tree.Len(), len(fs.table))
+	}
+	for _, e := range fs.tree.Walk() {
+		if e.ino < 0 || e.ino >= NumInodes || fs.slotIdx[e.ino] < 0 {
+			return fmt.Errorf("shmfs: index: tree entry 0x%08x names inode %d, which has no table row", e.base, e.ino)
+		}
+		if row := fs.table[fs.slotIdx[e.ino]]; row.base != e.base || row.path != e.path {
+			return fmt.Errorf("shmfs: index: tree entry 0x%08x (%s) disagrees with table row (0x%08x, %s)", e.base, e.path, row.base, row.path)
+		}
+	}
+	return nil
 }
 
 // PathToAddr returns the fixed virtual address of the file at p (the easy

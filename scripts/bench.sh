@@ -27,12 +27,13 @@ out=BENCH_"$n".json
 
 # Dispatch microbenchmark (internal/vm), the per-store cost of a guest sw
 # on an unobserved, an observed and a two-CPU shared frame (internal/mem),
-# and the paper's macro benchmarks (repo root). -count=3 gives benchstat
-# enough samples for a variance estimate without making CI runs painful.
+# the paper's macro benchmarks and the shared fs's unlink cost (repo
+# root; unlink is recorded, not gated). -count=3 gives benchstat enough
+# samples for a variance estimate without making CI runs painful.
 {
   go test -run=NONE -bench='BenchmarkDispatch' -benchtime="$benchtime" -count=3 ./internal/vm/
   go test -run=NONE -bench='BenchmarkStoreWordBE' -benchtime="$benchtime" -count=3 ./internal/mem/
-  go test -run=NONE -bench='Table1|CallNear|CallFar|PointerChase|LaunchWarm|PrestoParallel|NetShmScale|NetShmDeltaBytes' -benchtime="$benchtime" -count=3 .
+  go test -run=NONE -bench='Table1|CallNear|CallFar|PointerChase|LaunchWarm|PrestoParallel|NetShmScale|NetShmDeltaBytes|ShmfsUnlink' -benchtime="$benchtime" -count=3 .
 } | tee "$raw"
 
 {
