@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"hemlock/internal/isa"
 	"hemlock/internal/kern"
@@ -31,11 +30,15 @@ type System struct {
 
 // NewSystem boots a fresh machine with an empty shared file system.
 // Stable linking — the persistent link cache and zygote launches — is on by
-// default; set HEMLOCK_LINKCACHE=0 / HEMLOCK_ZYGOTE=0 to opt out.
+// default; SetStableLinking turns either off.
 func NewSystem() *System {
 	k := kern.New()
-	s := &System{K: k, FS: k.FS, LD: lds.New(k.FS), W: ldl.NewWorld(k)}
-	s.W.SetStableLinking(envOn("HEMLOCK_LINKCACHE"), envOn("HEMLOCK_ZYGOTE"))
+	return newSystem(k, k.FS)
+}
+
+func newSystem(k *kern.Kernel, fs *shmfs.FS) *System {
+	s := &System{K: k, FS: fs, LD: lds.New(fs), W: ldl.NewWorld(k)}
+	s.W.SetStableLinking(true, true)
 	return s
 }
 
@@ -53,15 +56,6 @@ func NewSystemLite() *System {
 	return &System{FS: fs}
 }
 
-// envOn reads an on-by-default feature toggle from the environment.
-func envOn(name string) bool {
-	switch os.Getenv(name) {
-	case "0", "off", "false", "no":
-		return false
-	}
-	return true
-}
-
 // Load boots a machine from a disk image previously written by Save.
 func Load(r io.Reader) (*System, error) {
 	phys := mem.NewPhysical(0)
@@ -69,10 +63,7 @@ func Load(r io.Reader) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := kern.NewWithFS(fs, phys)
-	s := &System{K: k, FS: fs, LD: lds.New(fs), W: ldl.NewWorld(k)}
-	s.W.SetStableLinking(envOn("HEMLOCK_LINKCACHE"), envOn("HEMLOCK_ZYGOTE"))
-	return s, nil
+	return newSystem(kern.NewWithFS(fs, phys), fs), nil
 }
 
 // SetStableLinking flips the link cache and zygote registry at run time.

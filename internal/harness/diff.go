@@ -14,22 +14,16 @@ import (
 const diffSlotBudget = 4096
 
 // execPath runs c until halt or the slot budget is gone, recording the
-// observable event sequence. fast selects the production path (RunBatch
-// over the TLB + icache); otherwise every instruction goes through the
-// cache-free reference stepper. Traps are serviced the way a minimal
-// kernel would: record, skip the faulting instruction, continue.
-func execPath(c *vm.CPU, fast bool, budget uint64) []string {
+// observable event sequence. run retires at most budget instructions and
+// reports what stopped it: RunBatch (the block engine), or a single Step
+// or ReferenceStep. Traps are serviced the way a minimal kernel would:
+// record, skip the faulting instruction, continue.
+func execPath(c *vm.CPU, run func(budget uint64) (vm.Event, error), budget uint64) []string {
 	var events []string
 	var consumed uint64
 	for consumed < budget {
 		before := c.Steps
-		var ev vm.Event
-		var err error
-		if fast {
-			ev, err = c.RunBatch(budget - consumed)
-		} else {
-			ev, err = c.ReferenceStep()
-		}
+		ev, err := run(budget - consumed)
 		consumed += c.Steps - before
 		if err != nil {
 			events = append(events, fmt.Sprintf("trap pc=%08x: %v", c.PC, err))
@@ -51,11 +45,14 @@ func execPath(c *vm.CPU, fast bool, budget uint64) []string {
 	return events
 }
 
-// DiffOne generates the program image for progSeed, executes it on the
-// fast path and on the reference path, and fails the scenario on any
-// divergence in the event sequence, step count, registers, PC, or the
-// whole-memory state hash. The failure message names progSeed: replaying
-// just that program is FuzzDiffExec's job (the seed is the fuzz input).
+// DiffOne generates the program image for progSeed and executes it on
+// three machines: the block engine (RunBatch), the per-instruction Step
+// path through the I-TLB and icache, and the cache-free ReferenceStep
+// oracle. It fails the scenario on any divergence of either fast path from
+// the oracle in the event sequence, step and trap counts, registers, PC,
+// or the whole-memory state hash. The failure message names progSeed:
+// replaying just that program is FuzzDiffExec's job (the seed is the fuzz
+// input).
 func DiffOne(s *Scenario, progSeed int64) {
 	ctrProg := s.Reg.Counter("harness.diff.programs")
 	ctrSteps := s.Reg.Counter("harness.diff.steps")
@@ -64,83 +61,62 @@ func DiffOne(s *Scenario, progSeed int64) {
 
 	rng := rand.New(rand.NewSource(progSeed))
 	im := genImage(rng)
-	fast, err := im.instantiate()
-	if err != nil {
-		s.Failf("program seed=%d: instantiate fast: %v", progSeed, err)
-		return
+	var cpus [3]*vm.CPU
+	for i := range cpus {
+		c, err := im.instantiate()
+		if err != nil {
+			s.Failf("program seed=%d: instantiate machine %d: %v", progSeed, i, err)
+			return
+		}
+		cpus[i] = c
 	}
-	ref, err := im.instantiate()
-	if err != nil {
-		s.Failf("program seed=%d: instantiate ref: %v", progSeed, err)
-		return
-	}
-	// Third machine: batched execution with the block engine forced to the
-	// other setting, so one run always compares block-translated against
-	// per-instruction batching regardless of HEMLOCK_BLOCK_ENGINE.
-	alt, err := im.instantiate()
-	if err != nil {
-		s.Failf("program seed=%d: instantiate alt: %v", progSeed, err)
-		return
-	}
-	alt.SetBlockEngine(!alt.BlockEngineOn())
+	fast, step, ref := cpus[0], cpus[1], cpus[2]
 
-	fe := execPath(fast, true, diffSlotBudget)
-	re := execPath(ref, false, diffSlotBudget)
-	ae := execPath(alt, true, diffSlotBudget)
+	fe := execPath(fast, fast.RunBatch, diffSlotBudget)
+	se := execPath(step, func(uint64) (vm.Event, error) { return step.Step() }, diffSlotBudget)
+	re := execPath(ref, func(uint64) (vm.Event, error) { return ref.ReferenceStep() }, diffSlotBudget)
 	ctrProg.Inc()
 	ctrSteps.Add(fast.Steps)
 	ctrTraps.Add(fast.Traps)
 	ctrEvents.Add(uint64(len(fe)))
 
-	for i := 0; i < len(fe) || i < len(re); i++ {
+	if diffMachines(s, progSeed, "fast", fast, fe, ref, re) {
+		diffMachines(s, progSeed, "step", step, se, ref, re)
+	}
+}
+
+// diffMachines compares one fast machine's run against the reference
+// run and fails the scenario at the first divergence. It reports whether
+// the two agreed.
+func diffMachines(s *Scenario, progSeed int64, name string, c *vm.CPU, ce []string, ref *vm.CPU, re []string) bool {
+	for i := 0; i < len(ce) || i < len(re); i++ {
 		f, r := "<none>", "<none>"
-		if i < len(fe) {
-			f = fe[i]
+		if i < len(ce) {
+			f = ce[i]
 		}
 		if i < len(re) {
 			r = re[i]
 		}
 		if f != r {
-			s.Failf("program seed=%d: event %d diverged\n  fast: %s\n  ref:  %s\nfast state:\n%s\nref state:\n%s",
-				progSeed, i, f, r, vm.DumpState(fast), vm.DumpState(ref))
-			return
+			s.Failf("program seed=%d: event %d diverged\n  %s: %s\n  ref:  %s\n%s state:\n%s\nref state:\n%s",
+				progSeed, i, name, f, r, name, vm.DumpState(c), vm.DumpState(ref))
+			return false
 		}
 	}
-	if fast.Steps != ref.Steps || fast.Traps != ref.Traps {
-		s.Failf("program seed=%d: counts diverged: fast steps=%d traps=%d, ref steps=%d traps=%d",
-			progSeed, fast.Steps, fast.Traps, ref.Steps, ref.Traps)
-		return
+	if c.Steps != ref.Steps || c.Traps != ref.Traps {
+		s.Failf("program seed=%d: counts diverged: %s steps=%d traps=%d, ref steps=%d traps=%d",
+			progSeed, name, c.Steps, c.Traps, ref.Steps, ref.Traps)
+		return false
 	}
-	if fast.PC != ref.PC || fast.Regs != ref.Regs {
-		s.Failf("program seed=%d: register file diverged\nfast:\n%s\nref:\n%s",
-			progSeed, vm.DumpState(fast), vm.DumpState(ref))
-		return
+	if c.PC != ref.PC || c.Regs != ref.Regs {
+		s.Failf("program seed=%d: register file diverged\n%s:\n%s\nref:\n%s",
+			progSeed, name, vm.DumpState(c), vm.DumpState(ref))
+		return false
 	}
-	if fh, rh := vm.StateHash(fast), vm.StateHash(ref); fh != rh {
-		s.Failf("program seed=%d: memory diverged (hash fast=%016x ref=%016x)\nfast:\n%s\nref:\n%s",
-			progSeed, fh, rh, vm.DumpState(fast), vm.DumpState(ref))
-		return
+	if ch, rh := vm.StateHash(c), vm.StateHash(ref); ch != rh {
+		s.Failf("program seed=%d: memory diverged (hash %s=%016x ref=%016x)\n%s:\n%s\nref:\n%s",
+			progSeed, name, ch, rh, name, vm.DumpState(c), vm.DumpState(ref))
+		return false
 	}
-	// The alternate batched path against the (already reference-verified)
-	// fast path.
-	for i := 0; i < len(ae) || i < len(fe); i++ {
-		a, f := "<none>", "<none>"
-		if i < len(ae) {
-			a = ae[i]
-		}
-		if i < len(fe) {
-			f = fe[i]
-		}
-		if a != f {
-			s.Failf("program seed=%d: event %d diverged between batched engines\n  fast: %s\n  alt:  %s\nfast state:\n%s\nalt state:\n%s",
-				progSeed, i, f, a, vm.DumpState(fast), vm.DumpState(alt))
-			return
-		}
-	}
-	if alt.Steps != fast.Steps || alt.Traps != fast.Traps ||
-		alt.PC != fast.PC || alt.Regs != fast.Regs ||
-		vm.StateHash(alt) != vm.StateHash(fast) {
-		s.Failf("program seed=%d: batched engines diverged\nfast:\n%s\nalt:\n%s",
-			progSeed, vm.DumpState(fast), vm.DumpState(alt))
-	}
+	return true
 }

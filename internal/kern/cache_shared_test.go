@@ -97,9 +97,6 @@ func TestSharedPageStoreInvalidatesSiblingBlocks(t *testing.T) {
 	k := New()
 	writer := k.Spawn(0)
 	runner := k.Spawn(0)
-	if !runner.CPU.BlockEngineOn() {
-		t.Skip("block engine disabled via HEMLOCK_BLOCK_ENGINE")
-	}
 
 	const shared = layout.SharedBase
 	if err := writer.AS.MapAnon(shared, mem.PageSize, addrspace.ProtRWX); err != nil {

@@ -106,16 +106,6 @@ type World struct {
 	public map[string]*shared
 	Stats  Stats
 
-	// Trace, when set, receives a line for each linker event (module
-	// mapped, segment created, lazy link, pointer-map fault, stub
-	// resolution): the LD_DEBUG of the simulation.
-	//
-	// Deprecated: Trace is a compatibility shim kept for existing callers.
-	// New code should attach a sink (obsv.NewText for the old line format)
-	// to the kernel tracer, W.K.Obs.T, which carries the same events typed
-	// and timestamped alongside every other subsystem's.
-	Trace func(format string, args ...interface{})
-
 	// Registry-backed mirrors of Stats (see Stats doc).
 	ctrMapped  *obsv.Counter
 	ctrCreated *obsv.Counter
@@ -153,12 +143,6 @@ type World struct {
 type objMemoEntry struct {
 	cv  uint64
 	obj *objfile.Object
-}
-
-func (w *World) tracef(format string, args ...interface{}) {
-	if w.Trace != nil {
-		w.Trace(format, args...)
-	}
 }
 
 // tracer returns the kernel-wide event tracer (nil-safe).
@@ -527,7 +511,6 @@ func (pr *Proc) bringInPublic(name string, class objfile.Class, tmplPath string,
 	if err != nil {
 		return nil, err
 	}
-	w.tracef("ldl: mapped public %s at 0x%08x (%s, lazy=%v)", instPath, st.Addr, class, lazy)
 	lazyVal := uint64(0)
 	if lazy {
 		lazyVal = 1
@@ -605,7 +588,6 @@ func (pr *Proc) bringInPrivate(name string, class objfile.Class, tmplPath string
 			return nil, err
 		}
 	}
-	pr.W.tracef("ldl: created private instance of %s at 0x%08x (lazy=%v)", name, base, lazy)
 	lazyVal := uint64(0)
 	if lazy {
 		lazyVal = 1
@@ -780,7 +762,6 @@ func (pr *Proc) LinkModule(in *Instance) error {
 		in.sh.pending = left
 		in.sh.linked.Store(len(left) == 0)
 		pr.addLinkStats(applied, 1)
-		pr.W.tracef("ldl: linked public %s: %d reloc(s), %d pending", in.Path, applied, len(left))
 		pr.W.emit(obsv.Event{Name: "lazy_link", PID: pr.P.PID, Mod: in.Path, Addr: in.Base, Val: uint64(applied)})
 	} else {
 		// Private: patch through this process's address space. Make the
@@ -796,7 +777,6 @@ func (pr *Proc) LinkModule(in *Instance) error {
 		in.pending = left
 		in.linked = len(left) == 0
 		pr.addLinkStats(applied, 1)
-		pr.W.tracef("ldl: linked private %s: %d reloc(s), %d pending", in.Name, applied, len(left))
 		pr.W.emit(obsv.Event{Name: "lazy_link", PID: pr.P.PID, Mod: in.Name, Addr: in.Base, Val: uint64(applied)})
 	}
 	// New modules may now satisfy references retained in the main image.
@@ -1012,7 +992,6 @@ func (pr *Proc) HandleFault(p *kern.Process, f *addrspace.Fault) error {
 		pr.W.Stats.PointerMaps++
 		pr.W.ctrPtrMaps.Inc()
 		pr.W.mu.Unlock()
-		pr.W.tracef("ldl: fault at 0x%08x mapped segment %s", f.Addr, path)
 		pr.W.emit(obsv.Event{Name: "pointer_map", PID: p.PID, Mod: path, Addr: f.Addr})
 		return nil
 	}

@@ -353,7 +353,6 @@ func (w *World) probeCache(key string) *cacheEntry {
 	for _, d := range deps {
 		cur, derr := w.K.FS.ContentVersion(d.path)
 		if derr != nil || cur != d.cv {
-			w.tracef("ldl: cache %s invalidated by %s", key, d.path)
 			w.invalidate(key)
 			return nil
 		}
@@ -701,7 +700,6 @@ func (pr *Proc) replayLink(in *Instance, ev *cacheEvent) (bool, error) {
 		pr.trampNext = ev.trampNext
 	}
 	pr.applyReplayStats(ev)
-	pr.W.tracef("ldl: replayed link of %s (%d store(s))", in.Name, len(ev.stores))
 	pr.W.emit(obsv.Event{Name: "cache_replay", PID: pr.P.PID, Mod: ev.key, Val: uint64(len(ev.stores))})
 	return true, nil
 }

@@ -71,7 +71,6 @@ func (pr *Proc) handleBreak(p *kern.Process) error {
 	pr.W.Stats.PLTResolves++
 	pr.W.ctrPLT.Inc()
 	pr.W.mu.Unlock()
-	pr.W.tracef("ldl: jump-table stub 0x%08x resolved %s -> 0x%08x", stub, name, target)
 	pr.W.emit(obsv.Event{Name: "plt_resolve", PID: p.PID, Mod: name, Addr: stub, Val: uint64(target)})
 	return nil
 }

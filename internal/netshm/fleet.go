@@ -2,7 +2,6 @@ package netshm
 
 import (
 	"fmt"
-	"os"
 	"sync/atomic"
 
 	"hemlock/internal/core"
@@ -34,15 +33,9 @@ type Fleet struct {
 }
 
 // NewFleet wires a fleet onto a network. Protocol and network counters
-// land in the fleet's registry. HEMLOCK_NETSHM_DELTA=0 forces the
-// pre-v3 full-page replication path fleet-wide (the delta-correctness
-// differential runs both).
+// land in the fleet's registry.
 func NewFleet(net *netsim.Network, cfg Config) *Fleet {
 	cfg = cfg.withDefaults()
-	switch os.Getenv("HEMLOCK_NETSHM_DELTA") {
-	case "0", "off", "false", "no":
-		cfg.FullPage = true
-	}
 	f := &Fleet{
 		Net:      net,
 		Reg:      obsv.NewRegistry(),

@@ -86,9 +86,8 @@ type Config struct {
 	MigrateThreshold int
 
 	// FullPage disables dirty-byte delta encoding: every update carries
-	// full pages, as the pre-v3 protocol did. NewFleet sets it from
-	// HEMLOCK_NETSHM_DELTA=0; kept as a field so differentials can force
-	// either mode.
+	// full pages, as the pre-v3 protocol did. The delta-correctness
+	// differential runs both modes.
 	FullPage bool
 }
 

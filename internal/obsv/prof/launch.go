@@ -22,6 +22,9 @@ import (
 const (
 	LaunchRootSubsys = "kern"
 	LaunchRootName   = "launch"
+
+	// EmitPhase names the profile row for tracer fan-out cost.
+	EmitPhase = "obsv.emit"
 )
 
 // LaunchProfile is a sink that aggregates the phase-scoped spans emitted
@@ -29,7 +32,9 @@ const (
 // to the system tracer before Launch and read the Report after: self time
 // (span duration minus nested spans) sums to the launch wall time, so
 // coverage = 1 - root-self/total reports how much of the launch the named
-// phases account for.
+// phases account for. The tracer's own cost — delivering each event to
+// every attached sink — is its own phase, EmitPhase, charged out of the
+// span that was open while it ran.
 type LaunchProfile struct {
 	mu       sync.Mutex
 	stacks   map[int][]*openSpan // per PID, innermost last
@@ -104,13 +109,32 @@ func (p *LaunchProfile) Emit(e obsv.Event) {
 		p.rootSelf += self
 		return
 	}
+	p.addPhase(key, dur, self)
+}
+
+// EmitCost implements obsv.CostSink: the time the tracer spent delivering
+// e moves from the innermost open span of e's process to EmitPhase. Cost
+// after a launch closed, or for a process with no launch open, is outside
+// every launch and dropped.
+func (p *LaunchProfile) EmitCost(e obsv.Event, ns int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	stack := p.stacks[e.PID]
+	if len(stack) == 0 {
+		return
+	}
+	stack[len(stack)-1].child += ns
+	p.addPhase(EmitPhase, ns, ns)
+}
+
+func (p *LaunchProfile) addPhase(key string, total, self int64) {
 	ps, ok := p.phases[key]
 	if !ok {
 		ps = &PhaseStat{Name: key}
 		p.phases[key] = ps
 	}
 	ps.Count++
-	ps.Total += dur
+	ps.Total += total
 	ps.Self += self
 }
 

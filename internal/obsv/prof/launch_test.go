@@ -60,6 +60,40 @@ func TestLaunchProfileSynthetic(t *testing.T) {
 	}
 }
 
+// TestLaunchProfileChargesEmitCost: fan-out cost reported inside a launch
+// leaves the span that was open and lands in the obsv.emit row; cost
+// reported outside any launch is dropped.
+func TestLaunchProfileChargesEmitCost(t *testing.T) {
+	lp := prof.NewLaunchProfile()
+	lp.EmitCost(ev(5, "kern", "spawn", obsv.PhaseInstant, 1), 50) // no launch open
+	lp.Emit(ev(10, "kern", "launch", obsv.PhaseBegin, 1))
+	lp.EmitCost(ev(10, "kern", "launch", obsv.PhaseBegin, 1), 4)
+	lp.Emit(ev(20, "kern", "exec", obsv.PhaseBegin, 1))
+	lp.EmitCost(ev(20, "kern", "exec", obsv.PhaseBegin, 1), 6)
+	lp.Emit(ev(60, "kern", "exec", obsv.PhaseEnd, 1))
+	lp.EmitCost(ev(60, "kern", "exec", obsv.PhaseEnd, 1), 5)
+	lp.Emit(ev(110, "kern", "launch", obsv.PhaseEnd, 1))
+	lp.EmitCost(ev(110, "kern", "launch", obsv.PhaseEnd, 1), 7) // launch closed
+	r := lp.Report()
+	if r.TotalNS != 100 {
+		t.Fatalf("total = %d, want 100", r.TotalNS)
+	}
+	// Root self: 100 - exec 40 - emit 4 - emit 5.
+	if r.OtherNS != 51 {
+		t.Fatalf("unattributed = %d, want 51", r.OtherNS)
+	}
+	got := map[string]prof.PhaseStat{}
+	for _, ps := range r.Phases {
+		got[ps.Name] = ps
+	}
+	if e := got[prof.EmitPhase]; e.Count != 3 || e.Self != 15 {
+		t.Fatalf("%s = %+v, want count 3 self 15", prof.EmitPhase, e)
+	}
+	if x := got["kern.exec"]; x.Total != 40 || x.Self != 34 {
+		t.Fatalf("kern.exec = %+v, want total 40 self 34", x)
+	}
+}
+
 func TestLaunchProfileInterleavedPIDs(t *testing.T) {
 	// Two launches racing on different PIDs must not cross-attribute.
 	lp := prof.NewLaunchProfile()

@@ -59,6 +59,15 @@ type Sink interface {
 	Emit(e Event)
 }
 
+// CostSink is a Sink that is also told what tracing itself costs. After
+// delivering an event it stamped to every sink, the tracer reports the
+// time from the stamp to the end of that fan-out, so a profiler can charge
+// it to tracing rather than to whichever span happened to be open.
+type CostSink interface {
+	Sink
+	EmitCost(e Event, ns int64)
+}
+
 // Tracer stamps events with its clock and fans them out to the attached
 // sinks. With no sinks attached it is disabled: Emit returns after one
 // atomic load. A nil *Tracer is valid and permanently disabled, so
@@ -138,7 +147,8 @@ func (t *Tracer) Emit(e Event) {
 	if !t.Enabled() {
 		return
 	}
-	if e.TS == 0 {
+	stamped := e.TS == 0
+	if stamped {
 		e.TS = t.clock()
 	}
 	if e.Phase == 0 {
@@ -148,6 +158,18 @@ func (t *Tracer) Emit(e Event) {
 	defer t.mu.Unlock()
 	for _, s := range t.sinks {
 		s.Emit(e)
+	}
+	if !stamped {
+		return
+	}
+	cost := int64(-1)
+	for _, s := range t.sinks {
+		if cs, ok := s.(CostSink); ok {
+			if cost < 0 {
+				cost = t.clock() - e.TS
+			}
+			cs.EmitCost(e, cost)
+		}
 	}
 }
 

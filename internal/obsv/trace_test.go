@@ -53,6 +53,33 @@ func TestTracerStampsAndDefaults(t *testing.T) {
 	}
 }
 
+// costRing is a ring that also records what the tracer reports each
+// event's fan-out cost.
+type costRing struct {
+	*Ring
+	costs []int64
+}
+
+func (c *costRing) EmitCost(e Event, ns int64) { c.costs = append(c.costs, ns) }
+
+// TestTracerReportsFanOutCost: a CostSink learns, for every event the
+// tracer stamped, the clock distance from the stamp to the end of the
+// fan-out; an event that arrives pre-stamped has no measured cost.
+func TestTracerReportsFanOutCost(t *testing.T) {
+	tr := NewTracer(stepClock())
+	c := &costRing{Ring: NewRing(8)}
+	tr.Attach(NewRing(8))
+	tr.Attach(c)
+	tr.Emit(Event{Subsys: "kern", Name: "a"})
+	tr.Emit(Event{Subsys: "kern", Name: "b", TS: 77})
+	if len(c.costs) != 1 || c.costs[0] != 1000 {
+		t.Fatalf("costs = %v, want [1000] (one clock step, pre-stamped event skipped)", c.costs)
+	}
+	if got := c.Len(); got != 2 {
+		t.Fatalf("cost sink received %d events, want 2", got)
+	}
+}
+
 func TestSpan(t *testing.T) {
 	tr := NewTracer(stepClock())
 	r := NewRing(8)

@@ -65,8 +65,8 @@ func BenchmarkDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatchStep measures the single-step entry point (what pdcall
-// and debugger-style callers pay).
+// BenchmarkDispatchStep measures the single-step entry point (what the
+// block engine's budget tails and direct Step callers pay).
 func BenchmarkDispatchStep(b *testing.B) {
 	c := benchCPU(b)
 	b.ReportAllocs()

@@ -1,6 +1,6 @@
 package vm
 
-// Basic-block translation engine. RunBatch no longer dispatches one
+// Basic-block translation engine. RunBatch does not dispatch one
 // predecoded instruction at a time: it decodes straight-line runs into
 // blocks of compact ops with precomputed operands (branch targets, jump
 // destinations, sign-extended immediates, fused LUI-pair constants),
@@ -45,14 +45,13 @@ package vm
 // registers at the faulting instruction (restartability is what the
 // paper's SIGSEGV-driven lazy linking needs), syscall/break advance PC,
 // and a batch never retires more than its budget — when the next op is a
-// fused pair that would overshoot, the tail runs on the per-instruction
-// path. The differential harness holds the engine bit-identical to
+// fused pair that would overshoot, the tail runs through Step. The
+// differential harness holds the engine bit-identical to
 // vm.ReferenceStep over events, steps, traps, registers, PC and the
 // whole-memory hash.
 
 import (
 	"fmt"
-	"os"
 	"sync"
 
 	"hemlock/internal/addrspace"
@@ -72,11 +71,6 @@ const (
 	// time a prefix of it executes. Must stay below 1<<16 (bop.n).
 	maxBlockInsts = 256
 )
-
-// blockEngineDefault is the process-wide default for new CPUs. Set
-// HEMLOCK_BLOCK_ENGINE=0 to fall back to the per-instruction PR-3 path
-// (the CI differential matrix runs both).
-var blockEngineDefault = os.Getenv("HEMLOCK_BLOCK_ENGINE") != "0"
 
 // bkind discriminates block ops. Ops up to bSB are straight-line; the
 // rest terminate a block.
@@ -173,31 +167,15 @@ func (b *block) valid(gen uint64) bool {
 // zygote clone, say) would otherwise allocate and garbage 4 KB per launch.
 var bcPool = sync.Pool{New: func() any { return new([bcSize]*block) }}
 
-// SetBlockEngine switches this CPU between the block-translation engine
-// and the per-instruction PR-3 path for batched execution (Step always
-// uses the per-instruction path). Turning it off drops the block cache.
-func (c *CPU) SetBlockEngine(on bool) {
-	c.blocksOff = !on
-	if !on {
-		c.releaseBlockCache()
-	}
-}
-
-// releaseBlockCache returns the block-cache array to the pool. The kernel
-// calls it (via ReleaseCaches) when the process exits.
-func (c *CPU) releaseBlockCache() {
+// ReleaseCaches hands the CPU's pooled block-cache array back for reuse.
+// The kernel calls it when the process exits; only call it when the CPU
+// will not run again.
+func (c *CPU) ReleaseCaches() {
 	if c.bc != nil {
 		bcPool.Put(c.bc)
 		c.bc = nil
 	}
 }
-
-// ReleaseCaches hands the CPU's pooled cache storage back for reuse. Only
-// call when the CPU will not run again.
-func (c *CPU) ReleaseCaches() { c.releaseBlockCache() }
-
-// BlockEngineOn reports whether batched execution uses the block engine.
-func (c *CPU) BlockEngineOn() bool { return !c.blocksOff }
 
 // illegalErr reconstructs the trap error the per-instruction decoder
 // raises for word w — the messages must match byte-for-byte or the
@@ -387,12 +365,16 @@ func (c *CPU) buildBlock(pc uint32) (*block, error) {
 	}
 }
 
-// runBlockEngine is RunBatch's block-translated executor: probe (or chain
-// into) the block at PC, retire its ops, repeat until the budget is gone
-// or an event/trap exits the batch. Step accounting stays in locals
-// (retired is folded into c.Steps at every exit) and register indices are
-// masked so the compiler drops the bounds checks from the hot loop.
-func (c *CPU) runBlockEngine(max uint64) (Event, error) {
+// RunBatch retires up to max instructions, stopping early at the first
+// non-step event or trap (EventStep with a nil error means the budget ran
+// out). It is the kernel's executor for every run, traced or not: probe
+// (or chain into) the block at PC, retire its ops, repeat until the budget
+// is gone or an event/trap exits the batch. Cache statistics are flushed
+// to the obsv counters at every exit rather than once per instruction.
+// Step accounting stays in locals (retired is folded into c.Steps at every
+// exit) and register indices are masked so the compiler drops the bounds
+// checks from the hot loop.
+func (c *CPU) RunBatch(max uint64) (Event, error) {
 	left := max
 	var retired uint64 // steps retired since the last fold into c.Steps
 	regs := &c.Regs
@@ -429,7 +411,7 @@ outer:
 					// absorbed nop.
 					c.Steps += retired
 					c.PC = op.pc - uint32(op.pre)*4
-					return c.runBatchSlow(left)
+					return c.stepTail(left)
 				}
 				retired += n
 				left -= n
@@ -655,6 +637,19 @@ outer:
 			c.sample(retired)
 		}
 	}
+}
+
+// stepTail retires a batch's last left instructions one at a time, for a
+// budget too small for the next (fused or nop-absorbing) op.
+func (c *CPU) stepTail(left uint64) (Event, error) {
+	for ; left > 0; left-- {
+		if ev, err := c.Step(); err != nil || ev != EventStep {
+			c.FlushObsv()
+			return ev, err
+		}
+	}
+	c.FlushObsv()
+	return EventStep, nil
 }
 
 // bset writes a register, dropping writes to $zero. The explicit mask lets

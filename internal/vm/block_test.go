@@ -38,9 +38,6 @@ func TestBlockChainLoopCountsHits(t *testing.T) {
 		isa.EncodeI(isa.OpHALT, 0, 0, 0),
 	})
 	c := vm.New(as)
-	if !c.BlockEngineOn() {
-		t.Skip("block engine disabled via HEMLOCK_BLOCK_ENGINE")
-	}
 	c.PC = benchTextBase
 	c.Regs[9] = 50
 	ev, err := c.RunBatch(1000)
@@ -93,9 +90,6 @@ func TestBlockSMCIntoChainedSuccessor(t *testing.T) {
 	})
 	putCode(t, as, escape, []uint32{isa.EncodeI(isa.OpHALT, 0, 0, 0)})
 	c := vm.New(as)
-	if !c.BlockEngineOn() {
-		t.Skip("block engine disabled via HEMLOCK_BLOCK_ENGINE")
-	}
 	c.PC = pageA
 	c.Regs[8] = isa.EncodeJ(isa.OpJ, escape) // t0: replacement for the victim
 	c.Regs[25] = bEntry                      // t9: victim address
@@ -216,44 +210,5 @@ func TestSnapshotDropsBlockCache(t *testing.T) {
 	}
 	if st := child.CacheStats(); st.BlockHits != 0 && st.BlockBuilds == 0 {
 		t.Fatalf("child hit inherited blocks: %+v", st)
-	}
-}
-
-// TestSetBlockEngineToggle: with the engine off, batched execution runs the
-// per-instruction path (icache fills, no block builds); turning it back on
-// builds blocks again.
-func TestSetBlockEngineToggle(t *testing.T) {
-	as := newSpace(t)
-	putCode(t, as, benchTextBase, []uint32{
-		isa.EncodeI(isa.OpADDIU, 9, 9, 0xFFFF),
-		isa.EncodeI(isa.OpBNE, 0, 9, 0xFFFE),
-		isa.EncodeI(isa.OpHALT, 0, 0, 0),
-	})
-	c := vm.New(as)
-	c.SetBlockEngine(false)
-	if c.BlockEngineOn() {
-		t.Fatal("engine reports on after SetBlockEngine(false)")
-	}
-	c.PC = benchTextBase
-	c.Regs[9] = 10
-	if ev, err := c.RunBatch(1000); err != nil || ev != vm.EventHalt {
-		t.Fatalf("engine-off batch: ev=%v err=%v", ev, err)
-	}
-	st := c.CacheStats()
-	if st.BlockBuilds != 0 {
-		t.Fatalf("engine off but %d blocks built", st.BlockBuilds)
-	}
-	if st.ICFills == 0 {
-		t.Fatal("engine off yet no icache fills — which path ran?")
-	}
-
-	c.SetBlockEngine(true)
-	c.PC = benchTextBase
-	c.Regs[9] = 10
-	if ev, err := c.RunBatch(1000); err != nil || ev != vm.EventHalt {
-		t.Fatalf("engine-on batch: ev=%v err=%v", ev, err)
-	}
-	if c.CacheStats().BlockBuilds == 0 {
-		t.Fatal("engine re-enabled but no blocks built")
 	}
 }

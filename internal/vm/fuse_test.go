@@ -1,10 +1,8 @@
 package vm_test
 
-// Semantic corners of macro-op fusion. Every test here must pass
-// identically with HEMLOCK_BLOCK_ENGINE=0 — fusion is an encoding of the
-// sequential semantics, never a change to them — so none of these tests
-// skip when the engine is off; the ones that assert FusedOps gate that
-// single check on BlockEngineOn.
+// Semantic corners of macro-op fusion. Fusion is an encoding of the
+// sequential semantics, never a change to them: every architectural
+// result asserted here is what the per-instruction path retires too.
 
 import (
 	"testing"
@@ -39,7 +37,7 @@ func TestFuseLUIORIDistinctRegs(t *testing.T) {
 	if c.Regs[8] != 0x12340000 || c.Regs[9] != 0x12345678 {
 		t.Fatalf("t0=0x%08x t1=0x%08x, want high half and composed constant", c.Regs[8], c.Regs[9])
 	}
-	if c.BlockEngineOn() && c.CacheStats().FusedOps == 0 {
+	if c.CacheStats().FusedOps == 0 {
 		t.Fatal("lui/ori pair not fused")
 	}
 }
@@ -92,7 +90,7 @@ func TestFuseLUISWStoresOwnRegister(t *testing.T) {
 	if got != data {
 		t.Fatalf("stored 0x%08x, want the LUI value 0x%08x", got, data)
 	}
-	if c.BlockEngineOn() && c.CacheStats().FusedOps == 0 {
+	if c.CacheStats().FusedOps == 0 {
 		t.Fatal("lui/sw pair not fused")
 	}
 }
@@ -125,7 +123,7 @@ func TestFuseTrampolineCall(t *testing.T) {
 	if c.Steps != 4 {
 		t.Fatalf("steps = %d, want 4 (three trampoline words + halt)", c.Steps)
 	}
-	if c.BlockEngineOn() && c.CacheStats().FusedOps == 0 {
+	if c.CacheStats().FusedOps == 0 {
 		t.Fatal("call trampoline not fused")
 	}
 }

@@ -1,11 +1,12 @@
 package vm
 
-// The reference interpreter: the cache-free twin the differential-testing
-// harness (internal/harness) races against the TLB + icache fast path.
-// ReferenceStep shares the exec switch with Step — the point of the
-// comparison is the translation and predecode caching added in PR 3, not
-// the ALU — but every fetch, load and store goes through the canonical
-// addrspace paths, so no cached state can leak into the oracle run.
+// The reference interpreter: the cache-free oracle the differential-testing
+// harness (internal/harness) holds both the block engine (RunBatch) and
+// the I-TLB + icache Step path against. ReferenceStep shares the exec
+// switch with Step — the point of the comparison is translation, predecode
+// and block caching, not the ALU — but every fetch, load and store goes
+// through the canonical addrspace paths, so no cached state can leak into
+// the oracle run.
 
 import (
 	"fmt"

@@ -32,22 +32,19 @@ func (r *recSampler) Sample(pc uint32, steps uint64) {
 // sampler installed, the RunBatch path must not allocate — the hook is one
 // nil check at each batch/block boundary.
 func TestSampleHookAllocs(t *testing.T) {
-	for _, blocks := range []bool{true, false} {
-		c := benchCPU(t)
-		c.SetBlockEngine(blocks)
-		// Warm every cache (I-TLB, icache, block map) out of the
-		// measured region.
-		if _, err := c.RunBatch(4096); err != nil {
+	c := benchCPU(t)
+	// Warm every cache (I-TLB, icache, block map) out of the measured
+	// region.
+	if _, err := c.RunBatch(4096); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := c.RunBatch(1024); err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := c.RunBatch(1024); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("blocks=%v: %v allocs/RunBatch with sampling disabled, want 0", blocks, allocs)
-		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs/RunBatch with sampling disabled, want 0", allocs)
 	}
 }
 
@@ -55,28 +52,25 @@ func TestSampleHookAllocs(t *testing.T) {
 // instruction lands in some bucket — block-boundary deltas plus the
 // flushed tail account for the CPU's entire step count.
 func TestSamplerExactAttribution(t *testing.T) {
-	for _, blocks := range []bool{true, false} {
-		c := benchCPU(t)
-		c.SetBlockEngine(blocks)
-		s := newRecSampler()
-		c.SetSampler(s)
-		const steps = 10_000
-		for done := uint64(0); done < steps; {
-			if _, err := c.RunBatch(1000); err != nil {
-				t.Fatal(err)
-			}
-			done = c.Steps
+	c := benchCPU(t)
+	s := newRecSampler()
+	c.SetSampler(s)
+	const steps = 10_000
+	for done := uint64(0); done < steps; {
+		if _, err := c.RunBatch(1000); err != nil {
+			t.Fatal(err)
 		}
-		s.Sample(c.PC, c.Steps) // flush the tail
-		if s.total != c.Steps {
-			t.Errorf("blocks=%v: attributed %d of %d retired instructions", blocks, s.total, c.Steps)
-		}
-		// The benchmark loop body lives at benchTextBase; every sampled
-		// PC must fall inside its 8 instructions.
-		for pc := range s.counts {
-			if pc < benchTextBase || pc >= benchTextBase+8*4 {
-				t.Errorf("blocks=%v: sample outside loop: pc=%#x", blocks, pc)
-			}
+		done = c.Steps
+	}
+	s.Sample(c.PC, c.Steps) // flush the tail
+	if s.total != c.Steps {
+		t.Errorf("attributed %d of %d retired instructions", s.total, c.Steps)
+	}
+	// The benchmark loop body lives at benchTextBase; every sampled PC
+	// must fall inside its 8 instructions.
+	for pc := range s.counts {
+		if pc < benchTextBase || pc >= benchTextBase+8*4 {
+			t.Errorf("sample outside loop: pc=%#x", pc)
 		}
 	}
 }

@@ -18,10 +18,20 @@
 // I-TLB sits a per-page predecoded instruction cache, validated against
 // the backing frame's store version (mem.Frame.Version), so straight-line
 // code skips both FetchWord and Decode. Because ldl patches live text —
-// trampolines and jump-table slots are the paper's core mechanism — every
-// store bumps the frame version, and a store into cached text is picked up
-// on the very next fetch, even when the store came from a different
-// process sharing the frame.
+// trampolines and jump-table slots are the paper's core mechanism — an
+// icache fill or block build marks its frame observed, every store to an
+// observed frame bumps the frame version (a frame no reader has observed
+// takes plain stores), and a store into cached text is picked up on the
+// very next fetch, even when the store came from a different process
+// sharing the frame.
+//
+// # Executors
+//
+// RunBatch, the block engine in block.go, is the one executor the kernel
+// runs guest code on, traced or not. Step retires one instruction through
+// the I-TLB and icache; the block engine uses it for budget tails smaller
+// than a fused op. ReferenceStep is Step with every cache bypassed: the
+// oracle the differential harness holds both against.
 package vm
 
 import (
@@ -195,10 +205,6 @@ type CPU struct {
 	uncached bool
 	refInst  pinst // scratch predecode slot for uncached fetches
 
-	// blocksOff disables the basic-block engine for batched execution
-	// (SetBlockEngine, or HEMLOCK_BLOCK_ENGINE=0 at process level).
-	blocksOff bool
-
 	// sampler, when installed via SetSampler, receives guest-PC samples at
 	// batch and block boundaries. Nil (the default) costs one comparison
 	// per boundary.
@@ -216,7 +222,7 @@ type CPU struct {
 
 // New returns a CPU bound to the given address space.
 func New(as *addrspace.Space) *CPU {
-	return &CPU{AS: as, blocksOff: !blockEngineDefault}
+	return &CPU{AS: as}
 }
 
 func (c *CPU) set(r uint8, v uint32) {
@@ -551,42 +557,6 @@ func (c *CPU) exec(in *pinst) (Event, error) {
 	return EventStep, nil
 }
 
-// RunBatch retires up to max instructions, stopping early at the first
-// non-step event or trap (EventStep with a nil error means the budget ran
-// out). This is the kernel's fast path: the block engine decodes, chains
-// and fuses straight-line runs (block.go), and cache statistics are
-// flushed to the obsv counters once per batch rather than once per
-// instruction. With the engine off it falls back to the per-instruction
-// icache path.
-func (c *CPU) RunBatch(max uint64) (Event, error) {
-	if c.blocksOff || c.uncached {
-		return c.runBatchSlow(max)
-	}
-	return c.runBlockEngine(max)
-}
-
-// runBatchSlow is the per-instruction batch loop (the PR-3 fast path):
-// fetch through the I-TLB + predecoded icache, execute, repeat. The block
-// engine delegates budget tails to it so a batch never over-retires.
-func (c *CPU) runBatchSlow(max uint64) (Event, error) {
-	c.sample(0)
-	for n := uint64(0); n < max; n++ {
-		in, err := c.fetch(c.PC)
-		if err != nil {
-			ev, terr := c.trap(c.PC, err)
-			c.FlushObsv()
-			return ev, terr
-		}
-		ev, err := c.exec(in)
-		if err != nil || ev != EventStep {
-			c.FlushObsv()
-			return ev, err
-		}
-	}
-	c.FlushObsv()
-	return EventStep, nil
-}
-
 // Run executes until a non-step event, a trap, or maxSteps instructions.
 // It is a convenience for tests that do not need a kernel; real programs
 // run under kern, which services faults and syscalls.
@@ -599,17 +569,16 @@ func (c *CPU) Run(maxSteps uint64) (Event, error) {
 }
 
 // AdoptArchState copies from's architectural state — registers, PC,
-// retired-instruction and trap counts, block-engine mode, sampler — into c,
-// keeping c's own address space, wired counters and (cold) caches. fork
-// uses it to reuse the CPU Spawn already allocated instead of paying for a
-// second ~8 KB CPU per clone; cache state is deliberately not copied for
-// the same reason Snapshot omits it.
+// retired-instruction and trap counts, sampler — into c, keeping c's own
+// address space, wired counters and (cold) caches. fork uses it to reuse
+// the CPU Spawn already allocated instead of paying for a second ~8 KB CPU
+// per clone; cache state is deliberately not copied for the same reason
+// Snapshot omits it.
 func (c *CPU) AdoptArchState(from *CPU) {
 	c.Regs = from.Regs
 	c.PC = from.PC
 	c.Steps = from.Steps
 	c.Traps = from.Traps
-	c.blocksOff = from.blocksOff
 	c.sampler = from.sampler
 }
 
@@ -633,7 +602,6 @@ func (c *CPU) Snapshot() CPU {
 		CtrBlockHit:   c.CtrBlockHit,
 		CtrBlockInval: c.CtrBlockInval,
 		CtrFusedOps:   c.CtrFusedOps,
-		blocksOff:     c.blocksOff,
 		sampler:       c.sampler,
 	}
 }
