@@ -15,7 +15,7 @@ package hemlock_test
 //	E-lazy     BenchmarkLinking*            lazy vs eager over a module graph
 //	E-ptr      BenchmarkPointerChase*       mapped vs fault-mapped traversal
 //	E-tramp    BenchmarkCall*               near call vs trampolined far call
-//	E-fs       BenchmarkShmfs*              linear vs indexed addr lookup, boot scan, unlink
+//	E-fs       BenchmarkShmfs*              boot scan, unlink (addr lookup: internal/shmfs)
 //	E-alloc    BenchmarkSegmentAlloc        per-segment heap allocator
 //	E-msg      BenchmarkIPC*                shared-memory vs message-passing handoff
 
@@ -1099,35 +1099,9 @@ func fullFS(b *testing.B, n int) *shmfs.FS {
 	return fs
 }
 
-// BenchmarkShmfsAddrToPathLinear: the paper's linear lookup table, worst
-// case (last file), with the file system nearly full.
-func BenchmarkShmfsAddrToPathLinear(b *testing.B) {
-	benchLookup(b, shmfs.LookupLinear)
-}
-
-// BenchmarkShmfsAddrToPathIndexed: ablation 1 — direct slot indexing
-// (available only while the 32-bit layout keeps slots dense).
-func BenchmarkShmfsAddrToPathIndexed(b *testing.B) {
-	benchLookup(b, shmfs.LookupIndexed)
-}
-
-// BenchmarkShmfsAddrToPathBTree: ablation 2 — the address-keyed B-tree the
-// paper plans for 64-bit machines.
-func BenchmarkShmfsAddrToPathBTree(b *testing.B) {
-	benchLookup(b, shmfs.LookupBTree)
-}
-
-func benchLookup(b *testing.B, mode shmfs.LookupMode) {
-	fs := fullFS(b, shmfs.NumInodes-2)
-	fs.Lookup = mode
-	addr := shmfs.AddrOf(shmfs.NumInodes-2) + 64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := fs.AddrToPath(addr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// The address-lookup benchmarks (BenchmarkShmfsAddrToPath and the
+// paper's linear scan, BenchmarkShmfsAddrToPathLinear) live in
+// internal/shmfs beside the linear-scan oracle.
 
 // BenchmarkShmfsBootScan: rebuilding the table by scanning the entire file
 // system, as the kernel does at boot.
@@ -1144,8 +1118,7 @@ func BenchmarkShmfsBootScan(b *testing.B) {
 
 // BenchmarkShmfsUnlink: unlinking a mid-range file and creating it again
 // (it reuses the freed slot) with 1020 live files, so every iteration
-// removes one entry from the middle of the linear table, the slot index
-// and the B-tree, and inserts it back.
+// clears one mid-table entry of the address table and fills it again.
 func BenchmarkShmfsUnlink(b *testing.B) {
 	fs := fullFS(b, 1020)
 	const p = "/lib/f0510"

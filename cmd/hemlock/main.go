@@ -580,7 +580,7 @@ func cmdLayout(s *hemlock.System, args []string, out io.Writer) error {
 }
 
 func cmdFsck(s *hemlock.System, out io.Writer) error {
-	// Consistency: the linear table must agree with a fresh scan.
+	// Consistency: the address table must agree with a fresh scan.
 	before := s.FS.TableLen()
 	n := s.FS.BootScan()
 	status := "clean"

@@ -129,10 +129,10 @@ func CheckSystem(sys *core.System, opt Options) []Finding {
 	return out
 }
 
-// checkAddrIndex cross-checks the file system's address-to-file indexes
-// (linear table, slot index, B-tree) against each other and the live file
-// inodes. A disagreement is Critical: AddrToPath, and everything that
-// names a segment from an address, can then answer wrong or not at all.
+// checkAddrIndex cross-checks the file system's address-to-file table
+// against the live file inodes and the directory tree. A disagreement is
+// Critical: AddrToPath, and everything that names a segment from an
+// address, can then answer wrong or not at all.
 func checkAddrIndex(fs *shmfs.FS) []Finding {
 	if err := fs.CheckIndex(); err != nil {
 		return []Finding{{Check: "addr-index", Severity: Critical, Subject: "/", Detail: err.Error()}}

@@ -535,7 +535,7 @@ func TestLinkCacheCorruptHeader(t *testing.T) {
 // TestChurnedIndexIsClean churns a world's shared fs — module creation,
 // link-cache entries drawn from the top of the slot space, and unlinks of
 // both — and expects no addr-index finding: every unlink leaves the
-// linear table, slot index and B-tree in agreement.
+// address table in agreement with the inodes and the directory tree.
 func TestChurnedIndexIsClean(t *testing.T) {
 	sys, cachePath := linkCachedSystem(t)
 	if err := sys.FS.MkdirAll("/spool", shmfs.DefaultDirMode, 0); err != nil {

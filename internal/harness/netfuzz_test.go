@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"maps"
+	"strings"
 	"testing"
 )
 
@@ -46,6 +48,29 @@ func TestTxnAtomicitySchedules(t *testing.T) {
 	s.Logf("%d schedules: %d commits (%d forwarded), %d aborts, %d lost, no partial commit observed",
 		n, c["harness.netfuzz.txn_commits"], c["harness.netfuzz.txn_forwards"],
 		c["harness.netfuzz.txn_aborts"], c["harness.netfuzz.txn_lost"])
+}
+
+// TestNetFuzzReplaysFromSeed runs one adversarial schedule several times:
+// every harness.netfuzz counter must come out the same each time, since
+// the adversary's decisions, and so the whole run, must follow from the
+// seed alone.
+func TestNetFuzzReplaysFromSeed(t *testing.T) {
+	const seed = 7
+	run := func() map[string]uint64 {
+		s := WithSeed(t, "netfuzz-replay", seed)
+		NetFuzzOne(s, seed)
+		c := s.Reg.Snapshot().Counters
+		maps.DeleteFunc(c, func(name string, _ uint64) bool {
+			return !strings.HasPrefix(name, "harness.netfuzz.")
+		})
+		return c
+	}
+	first := run()
+	for i := 1; i < 8; i++ {
+		if again := run(); !maps.Equal(first, again) {
+			t.Fatalf("seed %d replay %d differs:\nfirst  %v\nreplay %v", seed, i, first, again)
+		}
+	}
 }
 
 // FuzzNetShm lets the fuzzer pick the adversary seed directly.

@@ -44,6 +44,7 @@ package netshm
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 
@@ -892,7 +893,8 @@ func (n *Node) Step() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	now := n.fleet.Now()
-	for _, s := range n.segs {
+	for _, path := range sortedKeys(n.segs) {
+		s := n.segs[path]
 		if s.isHome {
 			if s.migrating != "" && now >= s.migrateAt {
 				if s.migrateTries >= n.cfg.RetryMax {
@@ -936,10 +938,15 @@ func (n *Node) announceLocked(s *seg) {
 // retryLocked sends catch-up syncs to replicas whose acked generation
 // lags, with exponential backoff and a bounded attempt count.
 func (n *Node) retryLocked(s *seg, now uint64) {
+	var due []string
 	for peer, ps := range s.peers {
-		if ps.acked >= s.gen || now < ps.nextTry || ps.attempts >= n.cfg.RetryMax {
-			continue
+		if ps.acked < s.gen && now >= ps.nextTry && ps.attempts < n.cfg.RetryMax {
+			due = append(due, peer)
 		}
+	}
+	sort.Strings(due) // see sortedKeys
+	for _, peer := range due {
+		ps := s.peers[peer]
 		n.sendSyncLocked(s, peer, ps.acked)
 		n.ctrRetries.Inc()
 		ps.attempts++
@@ -949,6 +956,19 @@ func (n *Node) retryLocked(s *seg, now uint64) {
 		}
 		ps.nextTry = now + backoff
 	}
+}
+
+// sortedKeys returns m's keys in order. The protocol engine sends in this
+// order, not in Go's randomised map order: netsim numbers each send, and
+// a seeded adversary decides a datagram's fate from that number, so a
+// run replays from its seed only if the sends come in the same order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // sendSyncLocked ships every page newer than sinceGen to one replica,

@@ -70,68 +70,59 @@ func (w *writer) strs(ss []string) {
 	}
 }
 
+// reader decodes from an in-memory encoding; the first short read sets err
+// and every later read returns zero values.
 type reader struct {
-	r   *bufio.Reader
+	b   []byte
 	err error
 }
 
-func (r *reader) str() string {
+// take consumes the next n bytes, or fails if fewer remain.
+func (r *reader) take(n int) []byte {
 	if r.err != nil {
+		return nil
+	}
+	if n < 0 || n > len(r.b) {
+		r.b = nil
+		r.err = io.ErrUnexpectedEOF
+		return nil
+	}
+	b := r.b[:n]
+	r.b = r.b[n:]
+	return b
+}
+
+func (r *reader) str() string {
+	b := r.take(2)
+	if b == nil {
 		return ""
 	}
-	var b [2]byte
-	if _, r.err = io.ReadFull(r.r, b[:]); r.err != nil {
-		return ""
-	}
-	n := binary.BigEndian.Uint16(b[:])
-	buf := make([]byte, n)
-	if _, r.err = io.ReadFull(r.r, buf); r.err != nil {
-		return ""
-	}
-	return string(buf)
+	return string(r.take(int(binary.BigEndian.Uint16(b))))
 }
 
 func (r *reader) u8() uint8 {
-	if r.err != nil {
-		return 0
+	if b := r.take(1); b != nil {
+		return b[0]
 	}
-	var v byte
-	v, r.err = r.r.ReadByte()
-	return v
+	return 0
 }
 
 func (r *reader) u32() uint32 {
-	if r.err != nil {
-		return 0
+	if b := r.take(4); b != nil {
+		return binary.BigEndian.Uint32(b)
 	}
-	var b [4]byte
-	if _, r.err = io.ReadFull(r.r, b[:]); r.err != nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b[:])
+	return 0
 }
 
 func (r *reader) i32() int32 { return int32(r.u32()) }
 
-const maxBlob = 64 << 20 // sanity cap on decoded blob sizes
-
+// blob returns a copy, so a decoded object never aliases its encoding.
 func (r *reader) blob() []byte {
-	n := r.u32()
-	if r.err != nil {
+	b := r.take(int(r.u32()))
+	if len(b) == 0 {
 		return nil
 	}
-	if n > maxBlob {
-		r.err = fmt.Errorf("objfile: blob of %d bytes exceeds sanity limit", n)
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	buf := make([]byte, n)
-	if _, r.err = io.ReadFull(r.r, buf); r.err != nil {
-		return nil
-	}
-	return buf
+	return append([]byte(nil), b...)
 }
 
 func (r *reader) strs() []string {
@@ -209,12 +200,12 @@ func (o *Object) Bytes() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode reads a HEMO object from in.
-func Decode(in io.Reader) (*Object, error) {
-	r := &reader{r: bufio.NewReader(in)}
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(r.r, magic); err != nil {
-		return nil, fmt.Errorf("objfile: reading magic: %w", err)
+// DecodeBytes decodes a HEMO object from its encoding b.
+func DecodeBytes(b []byte) (*Object, error) {
+	r := &reader{b: b}
+	magic := r.take(4)
+	if r.err != nil {
+		return nil, fmt.Errorf("objfile: reading magic: %w", r.err)
 	}
 	if string(magic) != objMagic {
 		return nil, fmt.Errorf("objfile: bad magic %q (not a HEMO object)", magic)
@@ -273,9 +264,6 @@ func Decode(in io.Reader) (*Object, error) {
 	}
 	return o, nil
 }
-
-// DecodeBytes decodes a HEMO object from a byte slice.
-func DecodeBytes(b []byte) (*Object, error) { return Decode(bytes.NewReader(b)) }
 
 // EncodeImage writes the load image to out in HEMX format.
 func (im *Image) EncodeImage(out io.Writer) error {
@@ -342,12 +330,12 @@ func (im *Image) ImageBytes() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeImage reads a HEMX load image from in.
-func DecodeImage(in io.Reader) (*Image, error) {
-	r := &reader{r: bufio.NewReader(in)}
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(r.r, magic); err != nil {
-		return nil, fmt.Errorf("objfile: reading image magic: %w", err)
+// DecodeImageBytes decodes a HEMX load image from its encoding b.
+func DecodeImageBytes(b []byte) (*Image, error) {
+	r := &reader{b: b}
+	magic := r.take(4)
+	if r.err != nil {
+		return nil, fmt.Errorf("objfile: reading image magic: %w", r.err)
 	}
 	if string(magic) != imgMagic {
 		return nil, fmt.Errorf("objfile: bad magic %q (not a HEMX image)", magic)
@@ -416,6 +404,3 @@ func DecodeImage(in io.Reader) (*Image, error) {
 	}
 	return im, nil
 }
-
-// DecodeImageBytes decodes a HEMX image from a byte slice.
-func DecodeImageBytes(b []byte) (*Image, error) { return DecodeImage(bytes.NewReader(b)) }

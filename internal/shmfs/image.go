@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"hemlock/internal/mem"
 )
@@ -165,8 +166,7 @@ func Load(r io.Reader, phys *mem.Physical) (*FS, error) {
 	if count > NumInodes {
 		return nil, fmt.Errorf("shmfs: image claims %d inodes (max %d)", count, NumInodes)
 	}
-	fs := &FS{phys: phys, Lookup: LookupLinear}
-	fs.resetIndex()
+	fs := &FS{phys: phys}
 	for i := uint32(0); i < count; i++ {
 		var ino uint32
 		if err := binary.Read(br, binary.BigEndian, &ino); err != nil {
@@ -174,6 +174,9 @@ func Load(r io.Reader, phys *mem.Physical) (*FS, error) {
 		}
 		if ino >= NumInodes {
 			return nil, fmt.Errorf("shmfs: inode %d out of range", ino)
+		}
+		if fs.inodes[ino] != nil {
+			return nil, fmt.Errorf("shmfs: inode %d appears twice", ino)
 		}
 		typB, err := br.ReadByte()
 		if err != nil {
@@ -232,6 +235,9 @@ func Load(r io.Reader, phys *mem.Physical) (*FS, error) {
 				if err != nil {
 					return nil, err
 				}
+				if name == "" || name == "." || name == ".." || strings.Contains(name, "/") {
+					return nil, fmt.Errorf("shmfs: inode %d has an entry named %q", ino, name)
+				}
 				var child uint32
 				if err := binary.Read(br, binary.BigEndian, &child); err != nil {
 					return nil, err
@@ -253,6 +259,16 @@ func Load(r io.Reader, phys *mem.Physical) (*FS, error) {
 	}
 	if fs.inodes[0] == nil || fs.inodes[0].typ != TypeDir {
 		return nil, fmt.Errorf("shmfs: image has no root directory")
+	}
+	// The directory graph must be a tree over exactly the loaded inodes:
+	// every entry names a loaded inode that no other entry names, and the
+	// walk from the root reaches them all.
+	reached := 1 // the root
+	if err := fs.walkTree(func(string, *inode) { reached++ }); err != nil {
+		return nil, fmt.Errorf("shmfs: corrupt directory graph: %w", err)
+	}
+	if reached != fs.nAlloc {
+		return nil, fmt.Errorf("shmfs: corrupt directory graph: %d of %d inodes are unreachable from /", fs.nAlloc-reached, fs.nAlloc)
 	}
 	fs.BootScan()
 	return fs, nil

@@ -6,43 +6,66 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"hemlock/internal/mem"
 )
 
-// lookupAllAgree resolves an address inside every slot with all three
-// lookup strategies and checks each answer against the directory tree.
-func lookupAllAgree(t *testing.T, fs *FS, step int, when string) {
-	t.Helper()
-	want := map[uint32]string{} // slot base -> path, from the directory tree
+// linearRow is one row of the paper's address-to-file table: the base of
+// a file's slot and its path.
+type linearRow struct {
+	base uint32
+	path string
+}
+
+// linearTable builds the paper's table from the directory tree, as its
+// boot-time scan does.
+func linearTable(fs *FS) []linearRow {
+	var rows []linearRow
 	fs.WalkFiles(func(p string, st Stat) error {
-		want[st.Addr] = p
+		rows = append(rows, linearRow{st.Addr, p})
 		return nil
 	})
-	saved := fs.Lookup
-	defer func() { fs.Lookup = saved }()
+	return rows
+}
+
+// linearLookup is the paper's lookup, "for the sake of simplicity": a scan
+// of every row for the slot covering addr. It is the oracle AddrToPath is
+// checked against.
+func linearLookup(rows []linearRow, addr uint32) (string, uint32, bool) {
+	for _, r := range rows {
+		if addr >= r.base && addr-r.base < SlotSize {
+			return r.path, addr - r.base, true
+		}
+	}
+	return "", 0, false
+}
+
+// lookupAllAgree resolves an address inside every slot with AddrToPath and
+// with the linear-scan oracle over a table built from the directory tree;
+// the answers must be identical.
+func lookupAllAgree(t *testing.T, fs *FS, step int, when string) {
+	t.Helper()
+	rows := linearTable(fs)
 	for slot := 0; slot < NumInodes; slot++ {
 		off := uint32(slot*4099+step*61) % SlotSize
 		addr := AddrOf(slot) + off
-		wantPath, present := want[AddrOf(slot)]
-		for _, mode := range []LookupMode{LookupLinear, LookupIndexed, LookupBTree} {
-			fs.Lookup = mode
-			p, o, err := fs.AddrToPath(addr)
-			if present && (err != nil || p != wantPath || o != off) {
-				t.Fatalf("step %d %s: mode %d at 0x%08x = %q+%d, %v; want %q+%d", step, when, mode, addr, p, o, err, wantPath, off)
-			}
-			if !present && (!errors.Is(err, ErrNotExist) || p != "" || o != 0) {
-				t.Fatalf("step %d %s: mode %d at 0x%08x = %q+%d, %v; want ErrNotExist", step, when, mode, addr, p, o, err)
-			}
+		wantPath, wantOff, present := linearLookup(rows, addr)
+		p, o, err := fs.AddrToPath(addr)
+		if present && (err != nil || p != wantPath || o != wantOff) {
+			t.Fatalf("step %d %s: AddrToPath(0x%08x) = %q+%d, %v; the linear scan says %q+%d", step, when, addr, p, o, err, wantPath, wantOff)
+		}
+		if !present && (!errors.Is(err, ErrNotExist) || p != "" || o != 0) {
+			t.Fatalf("step %d %s: AddrToPath(0x%08x) = %q+%d, %v; the linear scan finds no file", step, when, addr, p, o, err)
 		}
 	}
 }
 
 // TestLookupStrategiesAgreeUnderChurn creates (bottom-up and top-down) and
 // unlinks files until the inode table is nearly full, then keeps churning
-// there. After every step the linear table, the slot index and the B-tree
-// answer every slot identically and as the directory tree says, and
-// CheckIndex holds. The table is rebuilt by ClearTable + BootScan only
-// every few dozen steps, so unlink's swap-removal keeps reordering a table
-// that the boot scan would have laid out in path order.
+// there. After every step AddrToPath answers every slot as the linear scan
+// over the directory tree does, and CheckIndex holds. The table is rebuilt
+// by ClearTable + BootScan only every few dozen steps, so most steps check
+// the entries create and unlink maintain in place.
 func TestLookupStrategiesAgreeUnderChurn(t *testing.T) {
 	steps := 1500
 	if testing.Short() {
@@ -112,9 +135,9 @@ func TestLookupStrategiesAgreeUnderChurn(t *testing.T) {
 	}
 }
 
-// TestCheckIndexNamesCorruptStructure corrupts each of the address
-// indexes, and the inode table behind them, in turn; CheckIndex must name
-// the structure it finds at odds.
+// TestCheckIndexNamesCorruptStructure corrupts the address table, the
+// inode table and the directory tree in turn; CheckIndex must name the
+// structure it finds at odds.
 func TestCheckIndexNamesCorruptStructure(t *testing.T) {
 	build := func(t *testing.T) *FS {
 		fs := newFS(t)
@@ -144,32 +167,26 @@ func TestCheckIndexNamesCorruptStructure(t *testing.T) {
 		{"file inode without a row", "inode", func(fs *FS) {
 			fs.inodes[900] = &inode{ino: 900, typ: TypeFile}
 		}},
-		{"slotIdx entries swapped", "slotIdx", func(fs *FS) {
-			a, b := fs.table[0].ino, fs.table[1].ino
-			fs.slotIdx[a], fs.slotIdx[b] = fs.slotIdx[b], fs.slotIdx[a]
-		}},
 		{"table row for a destroyed inode", "table", func(fs *FS) {
-			fs.table = append(fs.table, tableEntry{base: AddrOf(900), ino: 900, path: "/lib/gone"})
+			fs.table[900] = "/lib/gone"
 		}},
 		{"table row with the wrong base", "table", func(fs *FS) {
-			fs.table[3].base += SlotSize
+			fs.table[3], fs.table[4] = fs.table[4], fs.table[3] // /lib/f01, /lib/f02
 		}},
 		{"table row with a stale path", "table", func(fs *FS) {
-			fs.table[2].path = "/lib/elsewhere"
+			fs.table[6] = "/lib/elsewhere" // /lib/f04
 		}},
 		{"tree missing an entry", "tree", func(fs *FS) {
-			fs.tree.Delete(fs.table[4].base)
+			lib := fs.inodes[fs.inodes[0].entries["lib"]]
+			delete(lib.entries, "f05")
 		}},
-		{"tree entry with a stale path", "tree", func(fs *FS) {
-			e := fs.table[5]
-			fs.tree.Insert(e.base, e.ino, "/lib/elsewhere")
+		{"tree with a second link to a file", "tree", func(fs *FS) {
+			lib := fs.inodes[fs.inodes[0].entries["lib"]]
+			fs.inodes[0].entries["dup"] = lib.entries["f05"]
 		}},
-		{"tree node under-full", "tree", func(fs *FS) {
-			n := fs.tree.root
-			for !n.leaf() {
-				n = n.children[0]
-			}
-			n.entries = n.entries[:1]
+		{"tree with a cycle", "tree", func(fs *FS) {
+			lib := fs.inodes[fs.inodes[0].entries["lib"]]
+			lib.entries["up"] = 0
 		}},
 	}
 	for _, c := range cases {
@@ -181,5 +198,45 @@ func TestCheckIndexNamesCorruptStructure(t *testing.T) {
 				t.Fatalf("CheckIndex = %v, want an error naming %s", err, c.want)
 			}
 		})
+	}
+}
+
+// E-fs address lookup, worst case for the linear scan: the last file, with
+// the file system nearly full.
+
+func lookupBenchFS(b *testing.B) (*FS, uint32) {
+	fs, err := New(mem.NewPhysical(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	fs.MkdirAll("/lib", DefaultDirMode, 0)
+	for i := 0; i < NumInodes-2; i++ {
+		if _, err := fs.Create(fmt.Sprintf("/lib/f%04d", i), DefaultFileMode, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return fs, AddrOf(NumInodes-1) + 64
+}
+
+// BenchmarkShmfsAddrToPath: the slot-indexed table.
+func BenchmarkShmfsAddrToPath(b *testing.B) {
+	fs, addr := lookupBenchFS(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := fs.AddrToPath(addr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkShmfsAddrToPathLinear: the paper's linear scan.
+func BenchmarkShmfsAddrToPathLinear(b *testing.B) {
+	fs, addr := lookupBenchFS(b)
+	rows := linearTable(fs)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok := linearLookup(rows, addr); !ok {
+			b.Fatal("no file")
+		}
 	}
 }

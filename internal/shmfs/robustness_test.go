@@ -2,7 +2,9 @@ package shmfs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"hemlock/internal/mem"
@@ -91,4 +93,95 @@ func TestSaveLoadManyFilesStress(t *testing.T) {
 	if fs2.InodesInUse() != fs.InodesInUse() {
 		t.Fatalf("inode counts differ: %d vs %d", fs2.InodesInUse(), fs.InodesInUse())
 	}
+}
+
+// rawInode is one inode of a hand-built image: a directory with entries
+// (name -> child inode number), or an empty regular file when entries is
+// nil.
+type rawInode struct {
+	ino     uint32
+	entries map[string]uint32
+}
+
+// rawImage encodes inodes as Save would, so a test can state directory
+// graphs that Save never writes.
+func rawImage(inodes ...rawInode) []byte {
+	var b bytes.Buffer
+	b.WriteString(imageMagic)
+	binary.Write(&b, binary.BigEndian, []uint32{imageVersion, uint32(len(inodes))})
+	for _, nd := range inodes {
+		typ := TypeFile
+		if nd.entries != nil {
+			typ = TypeDir
+		}
+		binary.Write(&b, binary.BigEndian, nd.ino)
+		b.WriteByte(byte(typ))
+		binary.Write(&b, binary.BigEndian, uint16(DefaultFileMode))
+		binary.Write(&b, binary.BigEndian, uint32(0)) // uid
+		binary.Write(&b, binary.BigEndian, uint64(0)) // mtime
+		if typ == TypeFile {
+			binary.Write(&b, binary.BigEndian, uint32(0)) // size
+			continue
+		}
+		names := make([]string, 0, len(nd.entries))
+		for name := range nd.entries {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		binary.Write(&b, binary.BigEndian, uint32(len(names)))
+		for _, name := range names {
+			writeString(&b, name)
+			binary.Write(&b, binary.BigEndian, nd.entries[name])
+		}
+	}
+	return b.Bytes()
+}
+
+// corruptGraphs are images whose directory graph is not a tree over the
+// loaded inodes.
+var corruptGraphs = map[string][]byte{
+	"child out of range": rawImage(rawInode{0, map[string]uint32{"x": 5000}}),
+	"root to root cycle": rawImage(rawInode{0, map[string]uint32{"x": 0}}),
+	"child not loaded":   rawImage(rawInode{0, map[string]uint32{"x": 7}}),
+	"file in two directories": rawImage(
+		rawInode{0, map[string]uint32{"a": 1, "b": 2}},
+		rawInode{1, map[string]uint32{"f": 3}},
+		rawInode{2, map[string]uint32{"f": 3}},
+		rawInode{3, nil}),
+	"unreachable file": rawImage(rawInode{0, map[string]uint32{}}, rawInode{9, nil}),
+}
+
+// FuzzLoad: whatever the bytes, Load returns an error or a file system
+// whose address table, inodes and directory tree agree.
+func FuzzLoad(f *testing.F) {
+	names := make([]string, 0, len(corruptGraphs))
+	for name := range corruptGraphs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f.Add(corruptGraphs[name])
+	}
+	fs, err := New(mem.NewPhysical(0))
+	if err != nil {
+		f.Fatal(err)
+	}
+	fs.MkdirAll("/a/b", DefaultDirMode, 0)
+	fs.Create("/a/b/file", DefaultFileMode, 0)
+	fs.WriteAt("/a/b/file", 0, []byte("hello"), 0)
+	fs.Symlink("/a/b/file", "/link", 0)
+	var buf bytes.Buffer
+	if err := fs.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, img []byte) {
+		fs, err := Load(bytes.NewReader(img), mem.NewPhysical(0))
+		if err != nil {
+			return
+		}
+		if err := fs.CheckIndex(); err != nil {
+			t.Fatalf("loaded image fails CheckIndex: %v", err)
+		}
+	})
 }

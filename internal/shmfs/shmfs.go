@@ -11,10 +11,12 @@
 //     so the 1 GB region divides into exactly one slot per inode;
 //   - hard links (other than '.' and '..') are prohibited, so there is a
 //     one-one mapping between inodes and path names;
-//   - a linear lookup table maps addresses back to files; it is initialised
-//     by scanning the entire file system at boot time and updated as files
+//   - a lookup table maps addresses back to files; it is initialised by
+//     scanning the entire file system at boot time and updated as files
 //     are created and destroyed, which lets the mapping survive crashes
-//     without on-disk format changes;
+//     without on-disk format changes. The paper's table is scanned
+//     linearly; this one is indexed by slot, since slot number determines
+//     address, and the linear scan is the oracle its tests compare against;
 //   - all the normal file operations work; the only thing that sets the
 //     file system apart is the association between file names and addresses.
 //
@@ -129,13 +131,6 @@ type Stat struct {
 	Mtime uint64
 }
 
-// tableEntry is one row of the kernel's linear address-to-file lookup table.
-type tableEntry struct {
-	base uint32
-	ino  int
-	path string
-}
-
 // FS is the shared file system. All methods are safe for concurrent use.
 type FS struct {
 	mu     sync.Mutex
@@ -144,22 +139,13 @@ type FS struct {
 	nAlloc int
 	clock  uint64
 
-	// table is the linear lookup table from addresses to files. It is
-	// deliberately a flat slice scanned linearly (the paper's choice for
-	// crash-survivability); BootScan rebuilds it from the directory tree.
-	table []tableEntry
-	// slotIdx is the first ablation alternative: a direct slot-number
-	// index into table (-1 = empty). Maintained alongside the linear
-	// table.
-	slotIdx [NumInodes]int32
-	// tree is the second alternative: the B-tree the paper plans for
-	// 64-bit machines, where slots are no longer dense. Also maintained
-	// alongside the linear table.
-	tree *AddrTree
-
-	// Lookup selects the AddrToPath strategy; the paper's 32-bit
-	// prototype uses LookupLinear.
-	Lookup LookupMode
+	// table is the kernel's address-to-file table: the path of the file in
+	// each slot, "" where the slot holds no file. Slot number determines
+	// address, so AddrToPath indexes it directly. Creating a file fills its
+	// entry and destroying one clears it; BootScan rebuilds the whole table
+	// from the directory tree, so the mapping survives crashes without
+	// on-disk format changes.
+	table [NumInodes]string
 
 	// Observability wiring (Observe); nil-safe when unwired.
 	tracer              *obsv.Tracer
@@ -175,38 +161,13 @@ func (fs *FS) Observe(tracer *obsv.Tracer, creates, opens *obsv.Counter) {
 	fs.tracer, fs.ctrCreate, fs.ctrOpens = tracer, creates, opens
 }
 
-// LookupMode selects how addresses translate to files.
-type LookupMode int
-
-// Lookup strategies for the E-fs ablation.
-const (
-	// LookupLinear scans the flat table: the paper's prototype choice,
-	// "for the sake of simplicity".
-	LookupLinear LookupMode = iota
-	// LookupIndexed indexes directly by slot number, possible only while
-	// inode number determines address (the dense 32-bit layout).
-	LookupIndexed
-	// LookupBTree walks the address-keyed B-tree, the paper's planned
-	// 64-bit structure.
-	LookupBTree
-)
-
 // New creates an empty shared file system (with a root directory at "/")
 // backed by phys.
 func New(phys *mem.Physical) (*FS, error) {
-	fs := &FS{phys: phys, Lookup: LookupLinear}
-	fs.resetIndex()
-	root := &inode{ino: 0, typ: TypeDir, mode: DefaultDirMode, entries: map[string]int{}}
-	fs.inodes[0] = root
+	fs := &FS{phys: phys}
+	fs.inodes[0] = &inode{ino: 0, typ: TypeDir, mode: DefaultDirMode, entries: map[string]int{}}
 	fs.nAlloc = 1
 	return fs, nil
-}
-
-func (fs *FS) resetIndex() {
-	for i := range fs.slotIdx {
-		fs.slotIdx[i] = -1
-	}
-	fs.tree = NewAddrTree()
 }
 
 // AddrOf returns the fixed virtual address of inode ino's slot.
@@ -303,19 +264,42 @@ func (fs *FS) parentOf(p string) (*inode, string, error) {
 	return parent, leaf, nil
 }
 
-func (fs *FS) allocInode(typ FileType, mode Mode, uid int) (*inode, error) {
-	for i := 0; i < NumInodes; i++ {
-		if fs.inodes[i] == nil {
-			nd := &inode{ino: i, typ: typ, mode: mode, uid: uid, mtime: fs.tick()}
-			if typ == TypeDir {
-				nd.entries = map[string]int{}
-			}
-			fs.inodes[i] = nd
-			fs.nAlloc++
-			return nd, nil
+// Slot choices for a new inode besides a given inode number. Ordinary
+// creates take the lowest free slot. Infrastructure files (the ldl link
+// cache) take the highest, so that ordinary creates, whose slot number
+// determines the segment's public virtual address, see exactly the slot
+// sequence they would in a world with no cache files at all.
+const (
+	slotLowest  = -1
+	slotHighest = -2
+)
+
+// allocInode allocates the inode that slot picks: the given inode number,
+// or the lowest or highest free one.
+func (fs *FS) allocInode(slot int, typ FileType, mode Mode, uid int) (*inode, error) {
+	ino := slot
+	switch slot {
+	case slotLowest:
+		for ino = 0; ino < NumInodes && fs.inodes[ino] != nil; ino++ {
+		}
+	case slotHighest:
+		for ino = NumInodes - 1; ino >= 0 && fs.inodes[ino] != nil; ino-- {
+		}
+	default:
+		if fs.inodes[ino] != nil {
+			return nil, fmt.Errorf("%w: inode %d already allocated", ErrExist, ino)
 		}
 	}
-	return nil, ErrNoSpace
+	if ino < 0 || ino >= NumInodes {
+		return nil, ErrNoSpace
+	}
+	nd := &inode{ino: ino, typ: typ, mode: mode, uid: uid, mtime: fs.tick()}
+	if typ == TypeDir {
+		nd.entries = map[string]int{}
+	}
+	fs.inodes[ino] = nd
+	fs.nAlloc++
+	return nd, nil
 }
 
 func (fs *FS) checkPerm(nd *inode, uid int, write bool) error {
@@ -342,8 +326,10 @@ func (fs *FS) checkPerm(nd *inode, uid int, write bool) error {
 
 // ---- public API --------------------------------------------------------
 
-// Create makes a new regular file at p owned by uid. It fails if p exists.
-func (fs *FS) Create(p string, mode Mode, uid int) (Stat, error) {
+// create makes a new inode of type typ at p, in the slot chosen by slot
+// (see allocInode), and enters a regular file in the address table. It
+// fails if p exists.
+func (fs *FS) create(p string, slot int, typ FileType, mode Mode, uid int, target string) (Stat, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	parent, leaf, err := fs.parentOf(p)
@@ -353,18 +339,26 @@ func (fs *FS) Create(p string, mode Mode, uid int) (Stat, error) {
 	if _, ok := parent.entries[leaf]; ok {
 		return Stat{}, fmt.Errorf("%w: %s", ErrExist, p)
 	}
-	nd, err := fs.allocInode(TypeFile, mode, uid)
+	nd, err := fs.allocInode(slot, typ, mode, uid)
 	if err != nil {
 		return Stat{}, err
 	}
+	nd.target = target
 	parent.entries[leaf] = nd.ino
 	parent.mtime = fs.tick()
-	fs.tableInsert(nd.ino, Clean(p))
-	fs.ctrCreate.Inc()
-	if fs.tracer.Enabled() {
-		fs.tracer.Emit(obsv.Event{Subsys: "shmfs", Name: "create", Mod: Clean(p), Addr: AddrOf(nd.ino)})
+	if typ == TypeFile {
+		fs.table[nd.ino] = Clean(p)
+		fs.ctrCreate.Inc()
+		if fs.tracer.Enabled() {
+			fs.tracer.Emit(obsv.Event{Subsys: "shmfs", Name: "create", Mod: Clean(p), Addr: AddrOf(nd.ino)})
+		}
 	}
 	return fs.statOf(nd), nil
+}
+
+// Create makes a new regular file at p owned by uid. It fails if p exists.
+func (fs *FS) Create(p string, mode Mode, uid int) (Stat, error) {
+	return fs.create(p, slotLowest, TypeFile, mode, uid, "")
 }
 
 // CreateAt makes a new regular file at p bound to the specific inode ino,
@@ -377,113 +371,13 @@ func (fs *FS) CreateAt(p string, ino int, mode Mode, uid int) (Stat, error) {
 	if ino < 0 || ino >= NumInodes {
 		return Stat{}, fmt.Errorf("%w: inode %d", ErrInval, ino)
 	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	parent, leaf, err := fs.parentOf(p)
-	if err != nil {
-		return Stat{}, err
-	}
-	if _, ok := parent.entries[leaf]; ok {
-		return Stat{}, fmt.Errorf("%w: %s", ErrExist, p)
-	}
-	if fs.inodes[ino] != nil {
-		return Stat{}, fmt.Errorf("%w: inode %d already allocated", ErrExist, ino)
-	}
-	nd := &inode{ino: ino, typ: TypeFile, mode: mode, uid: uid, mtime: fs.tick()}
-	fs.inodes[ino] = nd
-	fs.nAlloc++
-	parent.entries[leaf] = nd.ino
-	parent.mtime = fs.tick()
-	fs.tableInsert(nd.ino, Clean(p))
-	fs.ctrCreate.Inc()
-	if fs.tracer.Enabled() {
-		fs.tracer.Emit(obsv.Event{Subsys: "shmfs", Name: "create", Mod: Clean(p), Addr: AddrOf(nd.ino)})
-	}
-	return fs.statOf(nd), nil
-}
-
-// allocInodeTop allocates the highest free inode slot, scanning down from
-// the top. Infrastructure files (the ldl link cache) allocate here so that
-// ordinary Create calls — whose slot number determines the segment's public
-// virtual address — see exactly the slot sequence they would in a world
-// with no cache files at all.
-func (fs *FS) allocInodeTop(typ FileType, mode Mode, uid int) (*inode, error) {
-	for i := NumInodes - 1; i >= 0; i-- {
-		if fs.inodes[i] == nil {
-			nd := &inode{ino: i, typ: typ, mode: mode, uid: uid, mtime: fs.tick()}
-			if typ == TypeDir {
-				nd.entries = map[string]int{}
-			}
-			fs.inodes[i] = nd
-			fs.nAlloc++
-			return nd, nil
-		}
-	}
-	return nil, ErrNoSpace
+	return fs.create(p, ino, TypeFile, mode, uid, "")
 }
 
 // CreateTop makes a new regular file at p like Create, but draws its inode
-// from the top of the slot space (see allocInodeTop).
+// from the top of the slot space (see slotHighest).
 func (fs *FS) CreateTop(p string, mode Mode, uid int) (Stat, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	parent, leaf, err := fs.parentOf(p)
-	if err != nil {
-		return Stat{}, err
-	}
-	if _, ok := parent.entries[leaf]; ok {
-		return Stat{}, fmt.Errorf("%w: %s", ErrExist, p)
-	}
-	nd, err := fs.allocInodeTop(TypeFile, mode, uid)
-	if err != nil {
-		return Stat{}, err
-	}
-	parent.entries[leaf] = nd.ino
-	parent.mtime = fs.tick()
-	fs.tableInsert(nd.ino, Clean(p))
-	fs.ctrCreate.Inc()
-	if fs.tracer.Enabled() {
-		fs.tracer.Emit(obsv.Event{Subsys: "shmfs", Name: "create", Mod: Clean(p), Addr: AddrOf(nd.ino)})
-	}
-	return fs.statOf(nd), nil
-}
-
-// MkdirAllTop creates p and any missing parents with inodes drawn from the
-// top of the slot space.
-func (fs *FS) MkdirAllTop(p string, mode Mode, uid int) error {
-	p = Clean(p)
-	if p == "/" {
-		return nil
-	}
-	parts := strings.Split(p[1:], "/")
-	cur := ""
-	for _, part := range parts {
-		cur = cur + "/" + part
-		err := fs.mkdirTop(cur, mode, uid)
-		if err != nil && !errors.Is(err, ErrExist) {
-			return err
-		}
-	}
-	return nil
-}
-
-func (fs *FS) mkdirTop(p string, mode Mode, uid int) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	parent, leaf, err := fs.parentOf(p)
-	if err != nil {
-		return err
-	}
-	if _, ok := parent.entries[leaf]; ok {
-		return fmt.Errorf("%w: %s", ErrExist, p)
-	}
-	nd, err := fs.allocInodeTop(TypeDir, mode, uid)
-	if err != nil {
-		return err
-	}
-	parent.entries[leaf] = nd.ino
-	parent.mtime = fs.tick()
-	return nil
+	return fs.create(p, slotHighest, TypeFile, mode, uid, "")
 }
 
 // ContentVersion returns a cheap fingerprint of a file's current contents:
@@ -519,37 +413,26 @@ func (fs *FS) ContentVersion(p string) (uint64, error) {
 	return h, nil
 }
 
-// Mkdir creates a directory at p.
-func (fs *FS) Mkdir(p string, mode Mode, uid int) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	parent, leaf, err := fs.parentOf(p)
-	if err != nil {
-		return err
-	}
-	if _, ok := parent.entries[leaf]; ok {
-		return fmt.Errorf("%w: %s", ErrExist, p)
-	}
-	nd, err := fs.allocInode(TypeDir, mode, uid)
-	if err != nil {
-		return err
-	}
-	parent.entries[leaf] = nd.ino
-	parent.mtime = fs.tick()
-	return nil
-}
-
 // MkdirAll creates p and any missing parents.
 func (fs *FS) MkdirAll(p string, mode Mode, uid int) error {
+	return fs.mkdirAll(p, slotLowest, mode, uid)
+}
+
+// MkdirAllTop creates p and any missing parents with inodes drawn from the
+// top of the slot space.
+func (fs *FS) MkdirAllTop(p string, mode Mode, uid int) error {
+	return fs.mkdirAll(p, slotHighest, mode, uid)
+}
+
+func (fs *FS) mkdirAll(p string, slot int, mode Mode, uid int) error {
 	p = Clean(p)
 	if p == "/" {
 		return nil
 	}
-	parts := strings.Split(p[1:], "/")
 	cur := ""
-	for _, part := range parts {
+	for _, part := range strings.Split(p[1:], "/") {
 		cur = cur + "/" + part
-		err := fs.Mkdir(cur, mode, uid)
+		_, err := fs.create(cur, slot, TypeDir, mode, uid, "")
 		if err != nil && !errors.Is(err, ErrExist) {
 			return err
 		}
@@ -559,23 +442,8 @@ func (fs *FS) MkdirAll(p string, mode Mode, uid int) error {
 
 // Symlink creates a symbolic link at p pointing at target.
 func (fs *FS) Symlink(target, p string, uid int) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	parent, leaf, err := fs.parentOf(p)
-	if err != nil {
-		return err
-	}
-	if _, ok := parent.entries[leaf]; ok {
-		return fmt.Errorf("%w: %s", ErrExist, p)
-	}
-	nd, err := fs.allocInode(TypeSymlink, DefaultFileMode, uid)
-	if err != nil {
-		return err
-	}
-	nd.target = target
-	parent.entries[leaf] = nd.ino
-	parent.mtime = fs.tick()
-	return nil
+	_, err := fs.create(p, slotLowest, TypeSymlink, DefaultFileMode, uid, target)
+	return err
 }
 
 // Readlink returns the target of the symlink at p.
@@ -659,7 +527,7 @@ func (fs *FS) destroyInode(nd *inode) {
 	nd.frames = nil
 	fs.inodes[nd.ino] = nil
 	fs.nAlloc--
-	fs.tableRemove(nd.ino)
+	fs.table[nd.ino] = ""
 }
 
 // StatPath stats the object at p, following symlinks.
@@ -977,81 +845,6 @@ func (fs *FS) Frames(p string, size uint32, uid int, write bool) ([]*mem.Frame, 
 
 // ---- address <-> path kernel calls -------------------------------------
 
-func (fs *FS) tableInsert(ino int, p string) {
-	fs.table = append(fs.table, tableEntry{base: AddrOf(ino), ino: ino, path: p})
-	fs.slotIdx[ino] = int32(len(fs.table) - 1)
-	fs.tree.Insert(AddrOf(ino), ino, p)
-}
-
-// tableRemove drops ino's row by moving the last row into its place. Row
-// order carries no meaning: slots are disjoint, so a linear scan finds at
-// most one covering row wherever it sits.
-func (fs *FS) tableRemove(ino int) {
-	fs.tree.Delete(AddrOf(ino))
-	i := fs.slotIdx[ino]
-	if i < 0 {
-		return
-	}
-	last := len(fs.table) - 1
-	fs.table[i] = fs.table[last]
-	fs.slotIdx[fs.table[i].ino] = i
-	fs.table[last] = tableEntry{}
-	fs.table = fs.table[:last]
-	fs.slotIdx[ino] = -1
-}
-
-// CheckIndex cross-checks the three address indexes against each other
-// and against the file inodes: every live file has exactly one table row,
-// at the position slotIdx records, with its slot's base address and a
-// path that resolves to it; the B-tree is valid and holds the same
-// entries. The error names the structure found at odds first ("inode",
-// "slotIdx", "table" or "tree").
-func (fs *FS) CheckIndex() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	for ino, nd := range fs.inodes {
-		idx := fs.slotIdx[ino]
-		if idx < 0 {
-			if nd != nil && nd.typ == TypeFile {
-				return fmt.Errorf("shmfs: index: inode %d is a live file with no table row", ino)
-			}
-			continue
-		}
-		if int(idx) >= len(fs.table) || fs.table[idx].ino != ino {
-			return fmt.Errorf("shmfs: index: slotIdx[%d] = %d does not point at inode %d's table row", ino, idx, ino)
-		}
-	}
-	for i, e := range fs.table {
-		if e.ino < 0 || e.ino >= NumInodes || fs.inodes[e.ino] == nil || fs.inodes[e.ino].typ != TypeFile {
-			return fmt.Errorf("shmfs: index: table row %d names inode %d, which is not a live file", i, e.ino)
-		}
-		if j := fs.slotIdx[e.ino]; j != int32(i) {
-			return fmt.Errorf("shmfs: index: table row %d duplicates inode %d's row %d", i, e.ino, j)
-		}
-		if e.base != AddrOf(e.ino) {
-			return fmt.Errorf("shmfs: index: table row %d has base 0x%08x, inode %d's slot is 0x%08x", i, e.base, e.ino, AddrOf(e.ino))
-		}
-		if nd, err := fs.walk(e.path, false, 0); err != nil || nd.ino != e.ino {
-			return fmt.Errorf("shmfs: index: table row %d path %s does not name inode %d", i, e.path, e.ino)
-		}
-	}
-	if err := fs.tree.Check(); err != nil {
-		return fmt.Errorf("shmfs: index: tree: %w", err)
-	}
-	if fs.tree.Len() != len(fs.table) {
-		return fmt.Errorf("shmfs: index: tree holds %d entries, table %d rows", fs.tree.Len(), len(fs.table))
-	}
-	for _, e := range fs.tree.Walk() {
-		if e.ino < 0 || e.ino >= NumInodes || fs.slotIdx[e.ino] < 0 {
-			return fmt.Errorf("shmfs: index: tree entry 0x%08x names inode %d, which has no table row", e.base, e.ino)
-		}
-		if row := fs.table[fs.slotIdx[e.ino]]; row.base != e.base || row.path != e.path {
-			return fmt.Errorf("shmfs: index: tree entry 0x%08x (%s) disagrees with table row (0x%08x, %s)", e.base, e.path, row.base, row.path)
-		}
-	}
-	return nil
-}
-
 // PathToAddr returns the fixed virtual address of the file at p (the easy
 // direction: stat already returns an inode number).
 func (fs *FS) PathToAddr(p string) (uint32, error) {
@@ -1066,35 +859,20 @@ func (fs *FS) PathToAddr(p string) (uint32, error) {
 }
 
 // AddrToPath is the new kernel call: it translates an address inside the
-// shared region into the path name of the file whose slot covers it, using
-// the configured lookup strategy (the paper's prototype scans the linear
-// table).
+// shared region into the path name of the file whose slot covers it, and
+// the offset into that file. The slot number indexes the table directly.
 func (fs *FS) AddrToPath(addr uint32) (string, uint32, error) {
 	ino, err := InodeAt(addr)
 	if err != nil {
 		return "", 0, err
 	}
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	switch fs.Lookup {
-	case LookupIndexed:
-		if idx := fs.slotIdx[ino]; idx >= 0 && int(idx) < len(fs.table) {
-			e := &fs.table[idx]
-			return e.path, addr - e.base, nil
-		}
-	case LookupBTree:
-		if _, path, off, ok := fs.tree.LookupCovering(addr); ok {
-			return path, off, nil
-		}
-	default: // LookupLinear
-		for i := range fs.table {
-			e := &fs.table[i]
-			if addr >= e.base && addr < e.base+SlotSize {
-				return e.path, addr - e.base, nil
-			}
-		}
+	p := fs.table[ino]
+	fs.mu.Unlock()
+	if p == "" {
+		return "", 0, fmt.Errorf("%w: no file at 0x%08x", ErrNotExist, addr)
 	}
-	return "", 0, fmt.Errorf("%w: no file at 0x%08x", ErrNotExist, addr)
+	return p, addr - AddrOf(ino), nil
 }
 
 // ClearTable discards the lookup table, simulating the state just after a
@@ -1102,47 +880,111 @@ func (fs *FS) AddrToPath(addr uint32) (string, uint32, error) {
 func (fs *FS) ClearTable() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.table = nil
-	fs.resetIndex()
+	fs.table = [NumInodes]string{}
 }
 
 // BootScan rebuilds the address lookup table by scanning the entire file
-// system, as the kernel does at boot time.
+// system, as the kernel does at boot time, and returns the number of files
+// it found.
 func (fs *FS) BootScan() int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.table = nil
-	fs.resetIndex()
-	fs.scanDir(fs.inodes[0], "/")
-	return len(fs.table)
+	fs.table = [NumInodes]string{}
+	n := 0
+	// The directory graph is a tree: Load rejects any other, and the
+	// operations preserve it, so the walk cannot fail.
+	fs.walkTree(func(p string, nd *inode) {
+		if nd.typ == TypeFile {
+			fs.table[nd.ino] = p
+			n++
+		}
+	})
+	return n
 }
 
-func (fs *FS) scanDir(dir *inode, prefix string) {
-	names := make([]string, 0, len(dir.entries))
-	for name := range dir.entries {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		nd := fs.inodes[dir.entries[name]]
-		if nd == nil {
-			continue
+// walkTree calls fn for every inode reachable from the root, in path
+// order, with its path. It fails at a directory entry naming an inode that
+// is out of range or not allocated, or one already reached (a cycle, or a
+// hard link), so it also proves the directory graph is a tree.
+func (fs *FS) walkTree(fn func(p string, nd *inode)) error {
+	var reached [NumInodes]bool
+	reached[0] = true
+	var rec func(dir *inode, prefix string) error
+	rec = func(dir *inode, prefix string) error {
+		names := make([]string, 0, len(dir.entries))
+		for name := range dir.entries {
+			names = append(names, name)
 		}
-		p := path.Join(prefix, name)
-		switch nd.typ {
-		case TypeFile:
-			fs.tableInsert(nd.ino, p)
-		case TypeDir:
-			fs.scanDir(nd, p)
+		sort.Strings(names)
+		for _, name := range names {
+			p, ino := path.Join(prefix, name), dir.entries[name]
+			switch {
+			case ino < 0 || ino >= NumInodes || fs.inodes[ino] == nil:
+				return fmt.Errorf("%s names inode %d, which does not exist", p, ino)
+			case reached[ino]:
+				return fmt.Errorf("%s reaches inode %d a second time", p, ino)
+			}
+			reached[ino] = true
+			nd := fs.inodes[ino]
+			fn(p, nd)
+			if nd.typ == TypeDir {
+				if err := rec(nd, p); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	return rec(fs.inodes[0], "/")
+}
+
+// CheckIndex cross-checks the address table against the live file inodes
+// and the directory tree: a slot has a table entry exactly when it holds a
+// live file, and the tree reaches every such file once, at the path its
+// entry records. The error names the structure found at odds first
+// ("inode", "table" or "tree").
+func (fs *FS) CheckIndex() error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	var reached [NumInodes]bool
+	var stale error
+	err := fs.walkTree(func(p string, nd *inode) {
+		reached[nd.ino] = true
+		if nd.typ == TypeFile && fs.table[nd.ino] != p && stale == nil {
+			stale = fmt.Errorf("shmfs: index: table slot %d names %q, the tree has inode %d at %s", nd.ino, fs.table[nd.ino], nd.ino, p)
+		}
+	})
+	if err != nil {
+		return fmt.Errorf("shmfs: index: tree: %w", err)
+	}
+	if stale != nil {
+		return stale
+	}
+	for ino, nd := range fs.inodes {
+		isFile := nd != nil && nd.typ == TypeFile
+		switch {
+		case isFile && fs.table[ino] == "":
+			return fmt.Errorf("shmfs: index: inode %d is a live file with no table entry", ino)
+		case !isFile && fs.table[ino] != "":
+			return fmt.Errorf("shmfs: index: table slot %d names %s, but inode %d is not a live file", ino, fs.table[ino], ino)
+		case isFile && !reached[ino]:
+			return fmt.Errorf("shmfs: index: tree does not reach inode %d (%s)", ino, fs.table[ino])
 		}
 	}
+	return nil
 }
 
 // TableLen returns the number of live table entries (for fsck and tests).
 func (fs *FS) TableLen() int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return len(fs.table)
+	n := 0
+	for _, p := range fs.table {
+		if p != "" {
+			n++
+		}
+	}
+	return n
 }
 
 // ---- advisory file locking ---------------------------------------------
@@ -1259,28 +1101,11 @@ func (fs *FS) WalkFiles(fn func(path string, st Stat) error) error {
 	}
 	fs.mu.Lock()
 	var items []item
-	var rec func(dir *inode, prefix string)
-	rec = func(dir *inode, prefix string) {
-		names := make([]string, 0, len(dir.entries))
-		for name := range dir.entries {
-			names = append(names, name)
+	fs.walkTree(func(p string, nd *inode) {
+		if nd.typ == TypeFile {
+			items = append(items, item{p, fs.statOf(nd)})
 		}
-		sort.Strings(names)
-		for _, name := range names {
-			nd := fs.inodes[dir.entries[name]]
-			if nd == nil {
-				continue
-			}
-			p := path.Join(prefix, name)
-			switch nd.typ {
-			case TypeFile:
-				items = append(items, item{p, fs.statOf(nd)})
-			case TypeDir:
-				rec(nd, p)
-			}
-		}
-	}
-	rec(fs.inodes[0], "/")
+	})
 	fs.mu.Unlock()
 	for _, it := range items {
 		if err := fn(it.p, it.st); err != nil {

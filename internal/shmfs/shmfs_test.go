@@ -517,31 +517,95 @@ func TestContentVersionMovesOnMappedStoreAfterLoad(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsGarbage: Load returns an error, rather than crashing in
+// the boot scan, for bytes that are no image and for images whose
+// directory graph is not a tree over the loaded inodes.
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("NOTANIMAGE")), mem.NewPhysical(0)); err == nil {
 		t.Fatal("garbage image accepted")
 	}
+	// The control: rawImage encodes a healthy tree that Load accepts.
+	good := rawImage(
+		rawInode{0, map[string]uint32{"a": 1}},
+		rawInode{1, map[string]uint32{"f": 3}},
+		rawInode{3, nil})
+	fs, err := Load(bytes.NewReader(good), mem.NewPhysical(0))
+	if err != nil {
+		t.Fatalf("healthy hand-built image: %v", err)
+	}
+	if p, _, err := fs.AddrToPath(AddrOf(3)); err != nil || p != "/a/f" {
+		t.Fatalf("AddrToPath after load = %q, %v", p, err)
+	}
+	for name, img := range corruptGraphs {
+		if _, err := Load(bytes.NewReader(img), mem.NewPhysical(0)); err == nil {
+			t.Errorf("%s: Load accepted the image", name)
+		}
+	}
 }
 
+// TestLinearVsIndexedLookupAgree checks the slot-indexed AddrToPath
+// against the paper's linear scan and the directory tree, at an offset
+// inside every slot, free or not.
 func TestLinearVsIndexedLookupAgree(t *testing.T) {
 	fs := newFS(t)
 	for i := 0; i < 50; i++ {
 		fs.Create(fmt.Sprintf("/f%02d", i), DefaultFileMode, 0)
 	}
-	for i := 0; i < 50; i += 7 {
-		addr := AddrOf(i+1) + uint32(i*13)
-		fs.Lookup = LookupLinear
-		p1, o1, e1 := fs.AddrToPath(addr)
-		fs.Lookup = LookupIndexed
-		p2, o2, e2 := fs.AddrToPath(addr)
-		fs.Lookup = LookupBTree
-		p3, o3, e3 := fs.AddrToPath(addr)
-		if p1 != p2 || o1 != o2 || (e1 == nil) != (e2 == nil) {
-			t.Fatalf("linear/indexed disagree at 0x%x: %q/%q", addr, p1, p2)
+	for i := 0; i < 50; i += 4 {
+		fs.Unlink(fmt.Sprintf("/f%02d", i), 0)
+	}
+	rows := linearTable(fs)
+	if len(rows) != 37 {
+		t.Fatalf("directory tree holds %d files, want 37", len(rows))
+	}
+	for ino := 0; ino < 60; ino++ {
+		addr := AddrOf(ino) + uint32(ino*13)
+		want, wantOff, ok := linearLookup(rows, addr)
+		got, off, err := fs.AddrToPath(addr)
+		if got != want || off != wantOff || (err == nil) != ok {
+			t.Fatalf("0x%08x: AddrToPath = %q+%d, %v; linear scan %q+%d, %v", addr, got, off, err, want, wantOff, ok)
 		}
-		if p1 != p3 || o1 != o3 || (e1 == nil) != (e3 == nil) {
-			t.Fatalf("linear/btree disagree at 0x%x: %q/%q", addr, p1, p3)
+		if ok && want != fmt.Sprintf("/f%02d", ino-1) { // root dir is inode 0
+			t.Fatalf("0x%08x: %s is not the file in slot %d", addr, want, ino)
 		}
+	}
+}
+
+// The address index stays consistent through unlinks: every remaining file
+// resolves to its own path through AddrToPath, and unlinked slots miss. The
+// name is kept from when the index was a B-tree; the index is now the
+// inode-indexed table, and this checks the same contract against it.
+func TestFSBTreeStaysConsistent(t *testing.T) {
+	fs := newFS(t)
+	for i := 0; i < 30; i++ {
+		if _, err := fs.Create(fmt.Sprintf("/f%d", i), DefaultFileMode, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 30; i += 2 {
+		if err := fs.Unlink(fmt.Sprintf("/f%d", i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 30; i += 2 {
+		if p, _, err := fs.AddrToPath(AddrOf(i + 1)); err == nil { // +1: root dir is inode 0
+			t.Fatalf("unlinked /f%d still resolves to %q", i, p)
+		}
+	}
+	count := 0
+	fs.WalkFiles(func(p string, st Stat) error {
+		got, off, err := fs.AddrToPath(st.Addr)
+		if err != nil || got != p || off != 0 {
+			t.Fatalf("lookup of %s: %q+%d, %v", p, got, off, err)
+		}
+		count++
+		return nil
+	})
+	if count != 15 {
+		t.Fatalf("files = %d", count)
+	}
+	if err := fs.CheckIndex(); err != nil {
+		t.Fatal(err)
 	}
 }
 
